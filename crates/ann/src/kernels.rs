@@ -21,7 +21,8 @@
 //!   per `QUERY_BLOCK` probes instead of once per probe.
 //! * **Runtime SIMD dispatch** — each public kernel picks an
 //!   implementation once per call from a capability level detected once
-//!   per process ([`simd_level`]): explicit AVX2 intrinsics on x86-64
+//!   per process ([`simd_level`], shared with `dial-tensor` through the
+//!   `dial-simd` crate): explicit AVX2 intrinsics on x86-64
 //!   that advertises AVX2+FMA, NEON on aarch64, and the original
 //!   autovectorized loops as the scalar fallback (and the parity
 //!   oracle — the `*_scalar` kernels are the pre-dispatch code,
@@ -59,8 +60,9 @@
 
 use crate::metric::Metric;
 use crate::rowstore::{bf16_to_f32, f16_to_f32, RowsView};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+// The capability level and the force-scalar switch live in `dial-simd`,
+// shared with `dial-tensor`: one toggle pins both crates' kernels.
+pub use dial_simd::{force_scalar, set_force_scalar, simd_label, simd_level, SimdLevel};
 
 /// Independent accumulator lanes in the dot-product inner loop. Eight
 /// f32 lanes fill two SSE registers (or one AVX register) and leave the
@@ -75,92 +77,6 @@ pub const ROW_BLOCK: usize = 128;
 /// Queries per probe block: each row block fetched from memory is reused
 /// by this many queries before being evicted.
 pub const QUERY_BLOCK: usize = 8;
-
-/// The instruction set the kernels dispatch to, detected once per
-/// process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimdLevel {
-    /// The original autovectorized kernels — fallback and parity oracle.
-    Scalar,
-    /// x86-64 with AVX2 + FMA (FMA gates dispatch but is deliberately
-    /// not emitted: contraction would change roundings and break the
-    /// bitwise-parity contract).
-    Avx2,
-    /// aarch64 NEON (baseline on that architecture).
-    Neon,
-}
-
-struct Caps {
-    level: SimdLevel,
-    /// F16C (`vcvtph2ps`) available — gates the fused f16 row tiles.
-    f16c: bool,
-}
-
-static CAPS: OnceLock<Caps> = OnceLock::new();
-static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
-
-fn caps() -> &'static Caps {
-    CAPS.get_or_init(|| {
-        if std::env::var("DIAL_FORCE_SCALAR").is_ok_and(|v| !v.is_empty() && v != "0") {
-            FORCE_SCALAR.store(true, Ordering::Relaxed);
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                return Caps {
-                    level: SimdLevel::Avx2,
-                    f16c: std::arch::is_x86_feature_detected!("f16c"),
-                };
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            return Caps { level: SimdLevel::Neon, f16c: false };
-        }
-        #[allow(unreachable_code)]
-        Caps { level: SimdLevel::Scalar, f16c: false }
-    })
-}
-
-/// The dispatch level kernels will use *right now* — the detected
-/// capability unless scalar dispatch is forced.
-#[inline]
-pub fn simd_level() -> SimdLevel {
-    let caps = caps();
-    if FORCE_SCALAR.load(Ordering::Relaxed) {
-        SimdLevel::Scalar
-    } else {
-        caps.level
-    }
-}
-
-/// Whether scalar dispatch is currently forced (env override or
-/// [`set_force_scalar`]).
-pub fn force_scalar() -> bool {
-    caps();
-    FORCE_SCALAR.load(Ordering::Relaxed)
-}
-
-/// Force (or release) scalar dispatch at runtime. annbench uses this to
-/// measure the scalar-dispatch baseline and the SIMD path in one
-/// process; callers should save [`force_scalar`] and restore it so an
-/// ambient `DIAL_FORCE_SCALAR=1` stays in force.
-pub fn set_force_scalar(on: bool) {
-    caps();
-    FORCE_SCALAR.store(on, Ordering::Relaxed);
-}
-
-/// Label of the active dispatch path for reports: `"avx2"`, `"neon"`,
-/// or `"scalar"`.
-pub fn simd_label() -> &'static str {
-    match simd_level() {
-        SimdLevel::Scalar => "scalar",
-        SimdLevel::Avx2 => "avx2",
-        SimdLevel::Neon => "neon",
-    }
-}
 
 /// Lane-split dot product; the deterministic reduction order (lane sums
 /// in index order, then the scalar tail) is part of the kernel contract,
@@ -365,7 +281,7 @@ pub fn distance_batch_rows(
         RowsView::F32(r) => distance_batch(metric, queries, q_norms, r, r_norms, dim, out),
         RowsView::F16(r) => {
             #[cfg(target_arch = "x86_64")]
-            if simd_level() == SimdLevel::Avx2 && caps().f16c {
+            if simd_level() == SimdLevel::Avx2 && dial_simd::has_f16c() {
                 return unsafe {
                     avx2::distance_batch_f16(metric, queries, q_norms, r, r_norms, dim, out)
                 };

@@ -1,44 +1,190 @@
-//! Autograd engine micro-benchmarks: the matmul/attention kernels that
-//! dominate matcher training time (Table 9's mechanism).
-use criterion::{criterion_group, criterion_main, Criterion};
+//! Autograd engine micro-benchmarks: the three products that dominate
+//! matcher training and scoring (Table 9's mechanism), at the trunk's
+//! shapes, dispatched and forced-scalar in one process.
+//!
+//! Writes `REPRO_OUT/BENCH_tensor.json` (default `results/`) with the
+//! Gflop/s of every row, the thread count and the SIMD level, and fails
+//! if the dispatched kernels are slower than the scalar loops. Both
+//! modes produce the same bits; the run checks that too.
+use dial_bench::report::{json_f64, json_obj, json_str, print_table};
 use dial_tensor::{init, Graph, Matrix, ParamStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
-fn bench_tensor(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(0);
-    let a = init::normal(48, 64, 1.0, &mut rng);
-    let b = init::normal(64, 64, 1.0, &mut rng);
+/// Sequence length of a typical paired input.
+const N: usize = 48;
 
-    c.bench_function("matmul_48x64x64", |bch| bch.iter(|| a.matmul(&b)));
-    c.bench_function("matmul_t_48x64_48x64", |bch| bch.iter(|| a.matmul_t(&a)));
+type Product = fn(&Matrix, &Matrix) -> Matrix;
 
-    // Forward+backward through an attention-shaped graph.
-    let mut store = ParamStore::new();
-    let wq = store.add("wq", init::normal(64, 64, 0.1, &mut rng));
-    let wk = store.add("wk", init::normal(64, 64, 0.1, &mut rng));
-    let wv = store.add("wv", init::normal(64, 64, 0.1, &mut rng));
-    let x = init::normal(48, 64, 1.0, &mut rng);
-    c.bench_function("attention_fwd_bwd_seq48_d64", |bch| {
-        bch.iter(|| {
-            let mut g = Graph::new();
-            let xin = g.input(x.clone());
-            let q_ = g.param(&store, wq);
-            let k_ = g.param(&store, wk);
-            let v_ = g.param(&store, wv);
-            let q = g.matmul(xin, q_);
-            let k = g.matmul(xin, k_);
-            let v = g.matmul(xin, v_);
-            let scores = g.matmul_t(q, k);
-            let attn = g.softmax_rows(scores);
-            let out = g.matmul(attn, v);
-            let loss = g.mean(out);
-            g.backward(loss, &mut store);
-            store.zero_grads();
-            Matrix::scalar(0.0)
-        })
-    });
+/// The products of one trunk layer's forward and backward at `n = 48`,
+/// `d_model = 64`, `d_ff = 128`, `d_head = 16`:
+/// `(row, op, left, right, flops)`.
+fn cases(rng: &mut StdRng) -> Vec<(String, Product, Matrix, Matrix, f64)> {
+    let mut out: Vec<(String, Product, Matrix, Matrix, f64)> = Vec::new();
+    for (k, n) in [(64, 64), (64, 128), (128, 64)] {
+        let x = init::normal(N, k, 1.0, rng);
+        let w = init::normal(k, n, 0.1, rng);
+        let g = init::normal(N, n, 1.0, rng);
+        let flops = (2 * N * k * n) as f64;
+        out.push((
+            format!("matmul {N}x{k} @ {k}x{n}"),
+            Matrix::matmul,
+            x.clone(),
+            w.clone(),
+            flops,
+        ));
+        out.push((
+            format!("t_matmul ({N}x{k})^T @ {N}x{n}"),
+            Matrix::t_matmul,
+            x,
+            g.clone(),
+            flops,
+        ));
+        out.push((format!("matmul_t {N}x{n} @ ({k}x{n})^T"), Matrix::matmul_t, g, w, flops));
+    }
+    // Per head: scores = q kᵀ, context = attn v, and v's gradient attnᵀ g.
+    let q = init::normal(N, 16, 1.0, rng);
+    let k = init::normal(N, 16, 1.0, rng);
+    let attn = init::normal(N, N, 0.1, rng);
+    let flops = (2 * N * N * 16) as f64;
+    out.push((format!("matmul_t {N}x16 @ ({N}x16)^T"), Matrix::matmul_t, q, k.clone(), flops));
+    out.push((format!("matmul {N}x{N} @ {N}x16"), Matrix::matmul, attn.clone(), k.clone(), flops));
+    out.push((format!("t_matmul ({N}x{N})^T @ {N}x16"), Matrix::t_matmul, attn, k, flops));
+    out
 }
 
-criterion_group!(benches, bench_tensor);
-criterion_main!(benches);
+/// Median seconds per call over 15 samples of ~2 ms each.
+fn time_call(f: &mut dyn FnMut()) -> f64 {
+    let warm = Instant::now();
+    f();
+    let once = warm.elapsed().max(Duration::from_nanos(1));
+    let batch = (Duration::from_millis(2).as_nanos() / once.as_nanos()).clamp(1, 100_000) as u32;
+    let mut samples: Vec<f64> = (0..15)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..batch {
+                f();
+            }
+            t.elapsed().as_secs_f64() / batch as f64
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// `f` under forced-scalar dispatch, restoring the ambient setting.
+fn forced_scalar<T>(f: impl FnOnce() -> T) -> T {
+    let was = dial_ann::force_scalar();
+    dial_ann::set_force_scalar(true);
+    let out = f();
+    dial_ann::set_force_scalar(was);
+    out
+}
+
+fn attention_fwd_bwd(store: &mut ParamStore, ids: [dial_tensor::ParamId; 3], x: &Matrix) {
+    let mut g = Graph::new();
+    let xin = g.input(x.clone());
+    let [wq, wk, wv] = ids.map(|id| g.param(store, id));
+    let q = g.matmul(xin, wq);
+    let k = g.matmul(xin, wk);
+    let v = g.matmul(xin, wv);
+    let scores = g.matmul_t(q, k);
+    let attn = g.softmax_rows(scores);
+    let out = g.matmul(attn, v);
+    let loss = g.mean(out);
+    g.backward(loss, store);
+    store.zero_grads();
+}
+
+fn main() {
+    let mut rng = StdRng::seed_from_u64(0);
+    let simd = dial_ann::simd_label();
+    let threads = rayon::current_num_threads();
+
+    let mut rows = Vec::new();
+    let mut cells = Vec::new();
+    let (mut flops_sum, mut simd_s, mut scalar_s) = (0.0, 0.0, 0.0);
+    for (name, op, a, b, flops) in cases(&mut rng) {
+        let fast = op(&a, &b);
+        let slow = forced_scalar(|| op(&a, &b));
+        assert!(
+            fast.as_slice().iter().zip(slow.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()),
+            "{name}: dispatched and forced-scalar results differ"
+        );
+        let t_simd = time_call(&mut || {
+            black_box(op(black_box(&a), black_box(&b)));
+        });
+        let t_scalar = forced_scalar(|| {
+            time_call(&mut || {
+                black_box(op(black_box(&a), black_box(&b)));
+            })
+        });
+        flops_sum += flops;
+        simd_s += t_simd;
+        scalar_s += t_scalar;
+        let (gf, gf_scalar) = (flops / t_simd / 1e9, flops / t_scalar / 1e9);
+        cells.push(vec![
+            name.clone(),
+            format!("{gf:.1}"),
+            format!("{gf_scalar:.1}"),
+            format!("{:.2}", t_scalar / t_simd),
+        ]);
+        rows.push(json_obj(&[
+            ("op", json_str(&name)),
+            ("gflops", json_f64(gf)),
+            ("gflops_scalar", json_f64(gf_scalar)),
+            ("speedup_vs_scalar", json_f64(t_scalar / t_simd)),
+        ]));
+    }
+
+    // Forward + backward through an attention-shaped graph: the kernels
+    // plus the tape's own overhead.
+    let mut store = ParamStore::new();
+    let ids = ["wq", "wk", "wv"].map(|n| store.add(n, init::normal(64, 64, 0.1, &mut rng)));
+    let x = init::normal(N, 64, 1.0, &mut rng);
+    let attn_us = 1e6 * time_call(&mut || attention_fwd_bwd(&mut store, ids, &x));
+    let attn_scalar_us =
+        1e6 * forced_scalar(|| time_call(&mut || attention_fwd_bwd(&mut store, ids, &x)));
+
+    print_table(
+        &format!("Tensor products at the trunk's shapes ({simd}, {threads} threads)"),
+        &["Product", "Gflop/s", "Gflop/s scalar", "Speedup"],
+        &cells,
+    );
+    let (gflops, gflops_scalar) = (flops_sum / simd_s / 1e9, flops_sum / scalar_s / 1e9);
+    println!(
+        "all products: {gflops:.1} Gflop/s dispatched, {gflops_scalar:.1} Gflop/s forced scalar"
+    );
+    println!("attention fwd+bwd seq48 d64: {attn_us:.1} us dispatched, {attn_scalar_us:.1} us forced scalar");
+
+    let report = json_obj(&[
+        ("threads", threads.to_string()),
+        ("simd", json_str(simd)),
+        ("gflops", json_f64(gflops)),
+        ("gflops_scalar", json_f64(gflops_scalar)),
+        ("attention_fwd_bwd_us", json_f64(attn_us)),
+        ("attention_fwd_bwd_scalar_us", json_f64(attn_scalar_us)),
+        ("products", format!("[{}]", rows.join(","))),
+    ]);
+    // Anchored to the workspace root like BENCH_ann.json: cargo runs bench
+    // binaries from the package directory.
+    let dir = std::env::var("REPRO_OUT")
+        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../results").into());
+    let path = std::path::Path::new(&dir).join("BENCH_tensor.json");
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, format!("{report}\n")))
+    {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("tensor_ops: cannot write {}: {e}", path.display()),
+    }
+
+    // With dispatch already scalar (no SIMD host, or DIAL_FORCE_SCALAR)
+    // both columns time the same code and only scheduler noise separates
+    // them, so the floor loosens as annbench's does.
+    let floor = if simd == "scalar" { 0.8 } else { 1.0 };
+    assert!(
+        gflops >= floor * gflops_scalar,
+        "dispatched products ({gflops:.1} Gflop/s) are slower than the scalar loops ({gflops_scalar:.1})"
+    );
+}

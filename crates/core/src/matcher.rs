@@ -8,14 +8,15 @@
 //! AdamW, a smaller trunk learning rate, and a linear no-warm-up schedule.
 //!
 //! Gradient batches are data-parallel: the batch is split into chunks, each
-//! chunk accumulates into a cloned parameter store, and the shards are
-//! reduced before the optimizer step — numerically identical to a serial
-//! batch up to float addition order.
+//! chunk reads the one parameter store and accumulates into a gradient
+//! shard of its own (allocated once per `train` call), and the shards are
+//! reduced in chunk order before the optimizer step — numerically
+//! identical to a serial batch up to float addition order.
 
 use crate::config::DialConfig;
 use dial_datasets::LabeledPair;
 use dial_tensor::optim::{AdamW, LrGroup, Schedule};
-use dial_tensor::{init, sigmoid, Graph, Matrix, ParamId, ParamStore, Var};
+use dial_tensor::{init, kernels, sigmoid, Grads, Graph, Matrix, ParamId, ParamStore, Var};
 use dial_text::{paired_mode_ids, Record, TokenId, Vocab};
 use dial_tplm::{Tplm, TRUNK_PREFIX};
 use rand::rngs::StdRng;
@@ -91,9 +92,12 @@ impl Matcher {
             .iter()
             .position(|&t| t == dial_text::Vocab::SEP)
             .expect("paired input must contain a separator");
+        // Token positions of the two records: between CLS and the middle
+        // SEP, and between it and the closing SEP.
+        let (span_r, span_s) = (1..boundary.max(2), (boundary + 1).min(n - 1)..n - 1);
         let cls = g.slice_rows(ctx, 0, 1);
-        let seg_r = g.slice_rows(ctx, 1, boundary.max(2));
-        let seg_s = g.slice_rows(ctx, (boundary + 1).min(n - 1), n - 1);
+        let seg_r = g.slice_rows(ctx, span_r.start, span_r.end);
+        let seg_s = g.slice_rows(ctx, span_s.start, span_s.end);
         let mean_r = g.mean_rows(seg_r);
         let mean_s = g.mean_rows(seg_s);
         let diff = g.sub(mean_r, mean_s);
@@ -110,37 +114,38 @@ impl Matcher {
         // the embeddings, computed outside the tape, so its (large)
         // gradients cannot crowd out the trunk's under global norm
         // clipping.
-        let d = model.config().d_model as f32;
-        let tok_table = store.value(model.token_embedding_param());
-        let tok_rows: Vec<&[f32]> = ids.iter().map(|&t| tok_table.row(t as usize)).collect();
-        let ctx_val = g.value(ctx);
-        let ctx_rows: Vec<&[f32]> = (0..n).map(|i| ctx_val.row(i)).collect();
-        let seg = |rows: &[&[f32]]| -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
-            let r: Vec<Vec<f32>> = rows[1..boundary.max(2)].iter().map(|x| x.to_vec()).collect();
-            let s_: Vec<Vec<f32>> =
-                rows[(boundary + 1).min(n - 1)..n - 1].iter().map(|x| x.to_vec()).collect();
-            (r, s_)
-        };
-        let (ctx_r_rows, ctx_s_rows) = seg(&ctx_rows);
-        let (tok_r_rows, tok_s_rows) = seg(&tok_rows);
+        let d = model.config().d_model;
+        let (ids_r, ids_s) = (&ids[span_r.clone()], &ids[span_s.clone()]);
         // Crisp identity embeddings: fixed hash-random vectors per token id.
         // Coverage over these is a smooth token-Jaccard, unaffected by how
         // much pre-training contracts the semantic space.
-        let crisp_rows: Vec<Vec<f32>> = ids.iter().map(|&t| crisp_vec(t)).collect();
-        let crisp_refs: Vec<&[f32]> = crisp_rows.iter().map(|v| v.as_slice()).collect();
-        let (crisp_r, crisp_s) = seg(&crisp_refs);
+        let (crisp_r, crisp_s) =
+            (pack_rows(ids_r, CRISP_DIM, crisp_row), pack_rows(ids_s, CRISP_DIM, crisp_row));
+        // A segment's contextual rows are contiguous in `ctx`: borrow them.
+        let ctx_rows = g.value(ctx).as_slice();
+        let (ctx_r, ctx_s) = (
+            &ctx_rows[span_r.start * d..span_r.end * d],
+            &ctx_rows[span_s.start * d..span_s.end * d],
+        );
+        let tok_table = store.value(model.token_embedding_param());
+        let tok_row = |t: TokenId, row: &mut [f32]| row.copy_from_slice(tok_table.row(t as usize));
+        let (tok_r, tok_s) = (pack_rows(ids_r, d, tok_row), pack_rows(ids_s, d, tok_row));
         let mut cov_vals: Vec<f32> = Vec::with_capacity(8);
-        for (a, b, tau) in [
-            (&crisp_r, &crisp_s, CRISP_DIM as f32 / 8.0),
-            (&ctx_r_rows, &ctx_s_rows, d / 8.0),
-            (&tok_r_rows, &tok_s_rows, d / 8.0),
+        for (a, b, dim) in [
+            (&crisp_r[..], &crisp_s[..], CRISP_DIM),
+            (ctx_r, ctx_s, d),
+            (&tok_r[..], &tok_s[..], d),
         ] {
-            cov_vals.push(0.25 * coverage(a, b, tau));
-            cov_vals.push(0.25 * coverage(b, a, tau));
+            // One distance matrix serves both directions: `(x − y)²` and
+            // `(y − x)²` are the same bits, so the transpose is exactly
+            // what scoring `b` against `a` pair by pair would give.
+            let dists = pair_sq_dists(a, b, dim);
+            let tau = dim as f32 / 8.0;
+            cov_vals.push(0.25 * coverage(&dists, tau));
+            cov_vals.push(0.25 * coverage(&dists.transpose(), tau));
         }
         // Plus a hard token-Jaccard scalar for good measure.
-        cov_vals
-            .push(hard_jaccard(&ids[1..boundary.max(2)], &ids[(boundary + 1).min(n - 1)..n - 1]));
+        cov_vals.push(hard_jaccard(ids_r, ids_s));
         cov_vals.push(0.0); // reserved
         let cov = g.input(Matrix::row_vector(cov_vals));
         let feat = g.concat_cols(&[cls, mean_r, mean_s, diff]);
@@ -249,6 +254,8 @@ impl Matcher {
             Schedule::LinearDecay { total_steps },
         );
 
+        // One gradient shard per worker, reused by every step.
+        let mut shards = vec![store.new_grads(); rayon::current_num_threads().max(1)];
         let mut order: Vec<usize> = (0..examples.len()).collect();
         let mut epoch_rng = StdRng::seed_from_u64(cfg.seed ^ (round as u64) << 20);
         let mut last_epoch_loss = 0.0;
@@ -258,6 +265,7 @@ impl Matcher {
             for (step, batch) in order.chunks(cfg.batch_size).enumerate() {
                 let loss = self.grad_step(
                     store,
+                    &mut shards,
                     model,
                     &examples,
                     batch,
@@ -275,38 +283,44 @@ impl Matcher {
         last_epoch_loss
     }
 
-    /// One data-parallel gradient accumulation over `batch` indices.
-    /// Returns the mean loss.
+    /// One data-parallel gradient accumulation over `batch` indices: the
+    /// batch is cut into one chunk per shard, every chunk reads `store` and
+    /// fills its own shard, and the shards are added into `store`'s
+    /// (zeroed) gradients in chunk order. Returns the mean loss.
     fn grad_step(
         &self,
         store: &mut ParamStore,
+        shards: &mut [Grads],
         model: &Tplm,
         examples: &[(Vec<TokenId>, f32, f32)],
         batch: &[usize],
         seed: u64,
     ) -> f32 {
-        let threads = rayon::current_num_threads().max(1);
-        let chunk = batch.len().div_ceil(threads).max(1);
-        let shards: Vec<(ParamStore, f64)> = batch
-            .par_chunks(chunk)
-            .map(|ixs| {
-                let mut shard = store.clone();
+        let chunk = batch.len().div_ceil(shards.len()).max(1);
+        let shared: &ParamStore = store;
+        let work: Vec<(&[usize], &mut Grads)> =
+            batch.chunks(chunk).zip(shards.iter_mut()).collect();
+        let losses: Vec<f64> = work
+            .into_par_iter()
+            .map(|(ixs, shard)| {
+                shard.fill_zero();
                 let mut loss = 0.0f64;
                 for &i in ixs {
                     let (ids, label, weight) = &examples[i];
                     let mut rng = StdRng::seed_from_u64(seed ^ (i as u64));
                     let mut g = Graph::new();
-                    let z = self.logit_graph(&mut g, &shard, model, ids, true, &mut rng);
+                    let z = self.logit_graph(&mut g, shared, model, ids, true, &mut rng);
                     let l = g.bce_with_logits(z, &[*label]);
                     let l = g.scale(l, *weight);
                     loss += g.value(l).item() as f64;
-                    g.backward(l, &mut shard);
+                    g.backward_into(l, shared, shard);
                 }
-                (shard, loss)
+                loss
             })
             .collect();
+        // One loss per chunk that ran: the zip stops at the shards in use.
         let mut loss_sum = 0.0;
-        for (shard, loss) in &shards {
+        for (shard, loss) in shards.iter().zip(&losses) {
             store.accumulate_grads_from(shard);
             loss_sum += loss;
         }
@@ -325,20 +339,27 @@ impl Matcher {
 /// Width of the crisp hash-identity embeddings.
 const CRISP_DIM: usize = 16;
 
+/// One `dim`-wide row per token, packed row-major; `fill` writes a row.
+fn pack_rows(ids: &[TokenId], dim: usize, fill: impl Fn(TokenId, &mut [f32])) -> Vec<f32> {
+    let mut rows = vec![0.0; ids.len() * dim];
+    for (&t, row) in ids.iter().zip(rows.chunks_exact_mut(dim)) {
+        fill(t, row);
+    }
+    rows
+}
+
 /// Deterministic pseudo-random unit-scale vector for a token id
 /// (splitmix64-expanded), identical across runs and machines.
-fn crisp_vec(token: TokenId) -> Vec<f32> {
+fn crisp_row(token: TokenId, row: &mut [f32]) {
     let mut state = (token as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xd1b5_4a32_d192_ed03;
-    (0..CRISP_DIM)
-        .map(|_| {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
-            (z as f32 / u64::MAX as f32) * 2.0 - 1.0
-        })
-        .collect()
+    for v in row {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        *v = (z as f32 / u64::MAX as f32) * 2.0 - 1.0;
+    }
 }
 
 /// Exact token-multiset Jaccard between two id slices.
@@ -352,18 +373,30 @@ fn hard_jaccard(a: &[TokenId], b: &[TokenId]) -> f32 {
     sa.intersection(&sb).count() as f32 / sa.union(&sb).count() as f32
 }
 
-/// Mean over rows of `a` of the soft-min (−τ·LSE) alignment score against
-/// rows of `b`.
-fn coverage(a: &[Vec<f32>], b: &[Vec<f32>], tau: f32) -> f32 {
-    if a.is_empty() || b.is_empty() {
+/// `[|a|, |b|]` squared distances between two packed sets of `dim`-wide
+/// rows.
+fn pair_sq_dists(a: &[f32], b: &[f32], dim: usize) -> Matrix {
+    let (na, nb) = (a.len() / dim, b.len() / dim);
+    let mut out = Matrix::zeros(na, nb);
+    kernels::cross_sq_dists_into(a, b, na, nb, dim, out.as_mut_slice());
+    out
+}
+
+/// Mean over the rows of `dists` of the soft-min (−τ·LSE) alignment score
+/// of that row's token against the other side.
+fn coverage(dists: &Matrix, tau: f32) -> f32 {
+    if dists.is_empty() {
         return 0.0;
     }
     let mut total = 0.0;
-    for x in a {
-        let zs: Vec<f32> = b.iter().map(|y| -dial_tensor::sq_dist(x, y) / tau).collect();
+    let mut zs = vec![0.0; dists.cols()];
+    for r in 0..dists.rows() {
+        for (z, d) in zs.iter_mut().zip(dists.row(r)) {
+            *z = -d / tau;
+        }
         total += dial_tensor::logsumexp(&zs);
     }
-    total / a.len() as f32
+    total / dists.rows() as f32
 }
 
 fn hash3(a: usize, b: usize, c: usize) -> u64 {

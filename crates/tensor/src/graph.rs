@@ -10,10 +10,12 @@
 //! conventions. Ops are an enum rather than boxed closures: dispatch is a
 //! match, values needed by backward are the stored node values themselves.
 
+use crate::kernels;
 use crate::matrix::{dot, Matrix};
-use crate::params::{ParamId, ParamStore};
+use crate::params::{GradSink, Grads, ParamId, ParamStore};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::sync::Arc;
 
 /// Handle to a node in a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +45,12 @@ enum Op {
     Mul(Var, Var),
     Scale(Var, f32),
     Tanh(Var),
-    Gelu(Var),
+    /// `tanh` holds the forward's `tanh(u)` per element, which backward
+    /// needs again.
+    Gelu {
+        x: Var,
+        tanh: Vec<f32>,
+    },
     Relu(Var),
     Sigmoid(Var),
     Abs(Var),
@@ -107,7 +114,9 @@ enum Op {
 #[derive(Debug)]
 struct Node {
     op: Op,
-    value: Matrix,
+    /// Shared so that a parameter read is the store's own matrix, not a
+    /// copy of it.
+    value: Arc<Matrix>,
 }
 
 /// A single-use computation tape.
@@ -136,6 +145,10 @@ impl Graph {
     }
 
     fn push(&mut self, op: Op, value: Matrix) -> Var {
+        self.push_shared(op, Arc::new(value))
+    }
+
+    fn push_shared(&mut self, op: Op, value: Arc<Matrix>) -> Var {
         debug_assert!(!value.has_non_finite(), "non-finite value out of {op:?}");
         self.nodes.push(Node { op, value });
         Var(self.nodes.len() - 1)
@@ -148,10 +161,10 @@ impl Graph {
         self.push(Op::Input, value)
     }
 
-    /// Read a parameter (its value is copied onto the tape; gradients flow
-    /// back into the store).
+    /// Read a parameter (the tape shares the store's matrix; gradients
+    /// flow back into the store).
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        self.push(Op::Param(id), store.value(id).clone())
+        self.push_shared(Op::Param(id), store.value_shared(id))
     }
 
     /// Gather rows `indices` of the embedding table `table`.
@@ -234,8 +247,16 @@ impl Graph {
 
     pub fn gelu(&mut self, a: Var) -> Var {
         let mut v = self.value(a).clone();
-        v.as_mut_slice().iter_mut().for_each(|x| *x = gelu(*x));
-        self.push(Op::Gelu(a), v)
+        let tanh = v
+            .as_mut_slice()
+            .iter_mut()
+            .map(|x| {
+                let t = gelu_tanh(*x);
+                *x = 0.5 * *x * (1.0 + t);
+                t
+            })
+            .collect();
+        self.push(Op::Gelu { x: a, tanh }, v)
     }
 
     pub fn relu(&mut self, a: Var) -> Var {
@@ -404,12 +425,14 @@ impl Graph {
         let (va, vb) = (self.value(a), self.value(b));
         assert_eq!(va.cols(), vb.cols(), "cross_sq_dists width mismatch");
         let mut out = Matrix::zeros(va.rows(), vb.rows());
-        for i in 0..va.rows() {
-            let row = out.row_mut(i);
-            for (j, cell) in row.iter_mut().enumerate() {
-                *cell = crate::matrix::sq_dist(va.row(i), vb.row(j));
-            }
-        }
+        kernels::cross_sq_dists_into(
+            va.as_slice(),
+            vb.as_slice(),
+            va.rows(),
+            vb.rows(),
+            va.cols(),
+            out.as_mut_slice(),
+        );
         self.push(Op::CrossSqDists(a, b), out)
     }
 
@@ -468,13 +491,24 @@ impl Graph {
     /// Run reverse-mode accumulation from scalar `root`, adding parameter
     /// gradients into `store`. Gradients of frozen parameters are skipped.
     pub fn backward(&self, root: Var, store: &mut ParamStore) {
+        self.backward_to(root, store.grad_sink());
+    }
+
+    /// As [`Graph::backward`], but adding parameter gradients into `grads`
+    /// (made by [`ParamStore::new_grads`] on `store`) and leaving `store`
+    /// untouched, so workers sharing one store can each fill a shard.
+    pub fn backward_into(&self, root: Var, store: &ParamStore, grads: &mut Grads) {
+        self.backward_to(root, store.grad_sink_into(grads));
+    }
+
+    fn backward_to(&self, root: Var, mut sink: GradSink<'_>) {
         assert_eq!(self.value(root).len(), 1, "backward root must be scalar");
         let mut grads: Vec<Option<Matrix>> = vec![None; self.nodes.len()];
         grads[root.0] = Some(Matrix::scalar(1.0));
 
         for i in (0..=root.0).rev() {
             let Some(g) = grads[i].take() else { continue };
-            self.backprop_node(i, &g, &mut grads, store);
+            self.backprop_node(i, &g, &mut grads, &mut sink);
         }
     }
 
@@ -483,19 +517,18 @@ impl Graph {
         i: usize,
         g: &Matrix,
         grads: &mut [Option<Matrix>],
-        store: &mut ParamStore,
+        sink: &mut GradSink<'_>,
     ) {
         let node = &self.nodes[i];
         match &node.op {
             Op::Input => {}
             Op::Param(id) => {
-                if !store.is_frozen(*id) {
-                    store.grad_mut(*id).add_assign(g);
+                if let Some(gp) = sink.grad_mut(*id) {
+                    gp.add_assign(g);
                 }
             }
             Op::Gather { table, indices } => {
-                if !store.is_frozen(*table) {
-                    let gt = store.grad_mut(*table);
+                if let Some(gt) = sink.grad_mut(*table) {
                     for (r, &ix) in indices.iter().enumerate() {
                         let dst = gt.row_mut(ix as usize);
                         for (d, s) in dst.iter_mut().zip(g.row(r)) {
@@ -562,12 +595,13 @@ impl Graph {
                 }
                 acc(grads, *a, da);
             }
-            Op::Gelu(a) => {
+            Op::Gelu { x, tanh } => {
                 let mut da = g.clone();
-                for (x, inp) in da.as_mut_slice().iter_mut().zip(self.value(*a).as_slice()) {
-                    *x *= gelu_grad(*inp);
+                let inputs = self.value(*x).as_slice();
+                for ((d, inp), t) in da.as_mut_slice().iter_mut().zip(inputs).zip(tanh) {
+                    *d *= gelu_grad(*inp, *t);
                 }
-                acc(grads, *a, da);
+                acc(grads, *x, da);
             }
             Op::Relu(a) => {
                 let mut da = g.clone();
@@ -849,15 +883,15 @@ pub fn sigmoid(x: f32) -> f32 {
 
 const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
 
+/// The `tanh(u)` of the GELU approximation `0.5·x·(1 + tanh(u))`.
 #[inline]
-fn gelu(x: f32) -> f32 {
-    0.5 * x * (1.0 + (GELU_C * (x + 0.044715 * x * x * x)).tanh())
+fn gelu_tanh(x: f32) -> f32 {
+    (GELU_C * (x + 0.044715 * x * x * x)).tanh()
 }
 
+/// GELU's derivative at `x`, given `t = gelu_tanh(x)` from the forward.
 #[inline]
-fn gelu_grad(x: f32) -> f32 {
-    let u = GELU_C * (x + 0.044715 * x * x * x);
-    let t = u.tanh();
+fn gelu_grad(x: f32, t: f32) -> f32 {
     let du = GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 }

@@ -3,11 +3,17 @@
 //! A minimal, dependency-light reverse-mode automatic-differentiation engine
 //! powering the DIAL reproduction. It provides:
 //!
-//! * [`Matrix`] — dense row-major `f32` matrices with cache-friendly
-//!   `matmul` / `matmul_t` / `t_matmul` kernels;
+//! * [`Matrix`] — dense row-major `f32` matrices whose `matmul` /
+//!   `matmul_t` / `t_matmul` run on the [`kernels`] module;
+//! * [`kernels`] — the three products (and the all-pairs squared
+//!   distances) as register-tiled AVX2 code picked at runtime, with the
+//!   scalar loops kept as fallback and parity oracle;
 //! * [`ParamStore`] / [`ParamId`] — named trainable parameters with gradient
 //!   buffers, freezing, snapshot/restore (used to reset the matcher to its
-//!   pre-trained weights each active-learning round);
+//!   pre-trained weights each active-learning round); values are shared
+//!   (`Arc`) with tapes, snapshots and clones, never copied to be read;
+//! * [`Grads`] — a gradient shard: what each worker of a data-parallel
+//!   step accumulates into while all of them read one store;
 //! * [`Graph`] / [`Var`] — a define-by-run tape with the ops needed by a
 //!   small transformer (matmul, softmax, layer-norm, GELU, gather, dropout)
 //!   and by DIAL's losses (row/cross squared distances, log-sum-exp, BCE,
@@ -17,8 +23,20 @@
 //!
 //! The engine is strictly 2-D: sequences are `[seq_len, d]` matrices and
 //! batch parallelism is expressed *across* graphs (one graph per example,
-//! gradients reduced into sharded [`ParamStore`]s), which is both simpler
-//! and faster at DIAL's model sizes than padded batched tensors.
+//! gradients accumulated into per-worker [`Grads`] shards and reduced in a
+//! fixed order), which is both simpler and faster at DIAL's model sizes
+//! than padded batched tensors.
+//!
+//! # Determinism
+//!
+//! Every result is a pure function of its inputs and the thread count —
+//! never of the SIMD level. The AVX2 kernels multiply and add separately
+//! (no FMA) and sum each output element in the scalar loop's order, so
+//! they are bitwise equal to the scalar loops (proptested in
+//! `tests/proptests.rs`), and `DIAL_FORCE_SCALAR=1` — the one switch shared
+//! with `dial-ann` through `dial-simd` — changes speed only. See
+//! [`kernels`] for the contract, the zero-skip argument and the tile
+//! shapes.
 //!
 //! ```
 //! use dial_tensor::{Graph, Matrix, ParamStore, optim::Sgd};
@@ -44,10 +62,11 @@
 
 pub mod graph;
 pub mod init;
+pub mod kernels;
 pub mod matrix;
 pub mod optim;
 pub mod params;
 
 pub use graph::{logsumexp, sigmoid, softmax_in_place, Graph, Var};
 pub use matrix::{dot, sq_dist, Matrix};
-pub use params::{ParamId, ParamStore, Snapshot};
+pub use params::{Grads, ParamId, ParamStore, Snapshot};

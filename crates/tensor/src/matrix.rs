@@ -4,8 +4,11 @@
 //! matrix. Sequences of token embeddings are `[seq_len, d]`, parameter
 //! matrices are `[in, out]`, row vectors (biases, pooled embeddings) are
 //! `[1, d]`, and scalars are `[1, 1]`. Keeping the engine strictly 2-D keeps
-//! shape logic trivial and the inner loops tight.
+//! shape logic trivial and the inner loops tight. The three products live
+//! in [`crate::kernels`], runtime-dispatched and bitwise equal to the
+//! scalar loops.
 
+use crate::kernels;
 use std::fmt;
 
 /// Dense row-major matrix of `f32`.
@@ -139,11 +142,8 @@ impl Matrix {
         self.data[0]
     }
 
-    /// `self @ other` — standard matrix product.
-    ///
-    /// Uses an ikj loop order so the innermost loop is a contiguous
-    /// fused-multiply-add over `other`'s rows, which the compiler
-    /// auto-vectorizes.
+    /// `self @ other` — standard matrix product
+    /// ([`kernels::matmul`]).
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
@@ -151,11 +151,12 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.cols);
-        matmul_into(self, other, &mut out);
+        kernels::matmul(&self.data, &other.data, self.rows, self.cols, other.cols, &mut out.data);
         out
     }
 
-    /// `self^T @ other` without materializing the transpose.
+    /// `self^T @ other` without materializing the transpose
+    /// ([`kernels::t_matmul`]).
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, other.rows,
@@ -163,23 +164,12 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.cols, other.cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let b_row = other.row(i);
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let o = out.row_mut(k);
-                for (j, &b) in b_row.iter().enumerate() {
-                    o[j] += a * b;
-                }
-            }
-        }
+        kernels::t_matmul(&self.data, &other.data, self.rows, self.cols, other.cols, &mut out.data);
         out
     }
 
-    /// `self @ other^T` without materializing the transpose.
+    /// `self @ other^T` without materializing the transpose
+    /// ([`kernels::matmul_t`]).
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
@@ -187,13 +177,7 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let o = out.row_mut(i);
-            for (j, oj) in o.iter_mut().enumerate() {
-                *oj = dot(a_row, other.row(j));
-            }
-        }
+        kernels::matmul_t(&self.data, &other.data, self.rows, other.rows, self.cols, &mut out.data);
         out
     }
 
@@ -268,27 +252,6 @@ impl Matrix {
     /// True if any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|v| !v.is_finite())
-    }
-}
-
-/// `out = a @ b`, overwriting `out` (must already have the right shape).
-pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    assert_eq!(a.cols, b.rows);
-    assert_eq!(out.shape(), (a.rows, b.cols));
-    out.fill_zero();
-    let n = b.cols;
-    for i in 0..a.rows {
-        let a_row = a.row(i);
-        let out_row = &mut out.data[i * n..(i + 1) * n];
-        for (k, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let b_row = &b.data[k * n..(k + 1) * n];
-            for j in 0..n {
-                out_row[j] += av * b_row[j];
-            }
-        }
     }
 }
 

@@ -125,10 +125,10 @@ impl AdamW {
             }
             let lr = self.lr_for(store.name(id)) * sched;
             let k = id.index();
-            let grad = store.grad(id).as_slice().to_vec();
             let m = self.m[k].as_mut_slice();
             let v = self.v[k].as_mut_slice();
-            let value = store.value_mut(id).as_mut_slice();
+            let (value, grad) = store.value_mut_and_grad(id);
+            let (value, grad) = (value.as_mut_slice(), grad.as_slice());
             for i in 0..grad.len() {
                 let g = grad[i];
                 m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g;
@@ -162,8 +162,8 @@ impl Sgd {
             if store.is_frozen(id) {
                 continue;
             }
-            let grad = store.grad(id).clone();
-            store.value_mut(id).axpy(-self.lr, &grad);
+            let (value, grad) = store.value_mut_and_grad(id);
+            value.axpy(-self.lr, grad);
         }
         store.zero_grads();
     }

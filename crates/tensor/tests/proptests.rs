@@ -1,10 +1,50 @@
 //! Property-based tests for the autograd engine.
 
-use dial_tensor::{logsumexp, softmax_in_place, Graph, Matrix, ParamStore};
+use dial_tensor::{kernels, logsumexp, softmax_in_place, Graph, Matrix, ParamStore};
 use proptest::prelude::*;
 
 fn small_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-10.0f32..10.0, len)
+}
+
+/// Longest side the kernel parity cases draw; the pool below covers the
+/// largest operand plus the sub-slice offset.
+const MAX_SIDE: usize = 40;
+
+/// Matrix entries for the kernel parity tests: mostly ordinary values,
+/// with signed zeros (the scalar loops' skip), denormals (products that
+/// underflow to `±0.0`) and large magnitudes mixed in. All finite: the
+/// zero skip is only an identity for finite inputs (see `kernels`).
+fn entries() -> impl Strategy<Value = Vec<f32>> {
+    let entry = (0u8..16, -4.0f32..4.0).prop_map(|(kind, v)| match kind {
+        0 | 1 => 0.0,
+        2 | 3 => -0.0,
+        4 => 1.0e-40,
+        5 => -3.0e-42,
+        6 => v * 1.0e-30,
+        7 => v * 1.0e15,
+        _ => v,
+    });
+    proptest::collection::vec(entry, MAX_SIDE * MAX_SIDE + 3)
+}
+
+/// A side length: the degenerate 0 and 1, sizes around the 4-row and
+/// 8/16-column tiles, the trunk's `d_head` 16, and 18 for `dot`'s lane
+/// tail.
+fn side() -> impl Strategy<Value = usize> {
+    (0usize..14).prop_map(|i| [0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 18, 33, MAX_SIDE][i])
+}
+
+/// `len` floats starting `off` elements into `pool`, so the kernels see
+/// operands at every alignment within a 16-byte line.
+fn operand(pool: &[f32], off: usize, len: usize) -> &[f32] {
+    &pool[off..off + len]
+}
+
+fn assert_same_bits(fast: &[f32], slow: &[f32], what: &str) {
+    for (i, (x, y)) in fast.iter().zip(slow).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {i}: {x:e} vs {y:e}");
+    }
 }
 
 proptest! {
@@ -97,5 +137,61 @@ proptest! {
             prop_assert!(*x >= 0.0);
             prop_assert!((x - y).abs() < 1e-4);
         }
+    }
+
+    // ---- dispatched kernels == scalar loops, bit for bit -----------------
+    // On a host without AVX2 (or under DIAL_FORCE_SCALAR=1) both sides run
+    // the scalar loops and the properties hold trivially.
+
+    #[test]
+    fn matmul_dispatch_matches_scalar_bitwise(
+        pa in entries(), pb in entries(),
+        m in side(), k in side(), n in side(),
+        oa in 0usize..4, ob in 0usize..4,
+    ) {
+        let (a, b) = (operand(&pa, oa, m * k), operand(&pb, ob, k * n));
+        let (mut fast, mut slow) = (vec![f32::NAN; m * n + 1], vec![f32::NAN; m * n + 1]);
+        kernels::matmul(a, b, m, k, n, &mut fast[1..]);
+        kernels::matmul_scalar(a, b, m, k, n, &mut slow[1..]);
+        assert_same_bits(&fast[1..], &slow[1..], &format!("matmul {m}x{k}x{n}"));
+    }
+
+    #[test]
+    fn t_matmul_dispatch_matches_scalar_bitwise(
+        pa in entries(), pb in entries(),
+        rows in side(), m in side(), n in side(),
+        oa in 0usize..4, ob in 0usize..4,
+    ) {
+        let (a, b) = (operand(&pa, oa, rows * m), operand(&pb, ob, rows * n));
+        let (mut fast, mut slow) = (vec![f32::NAN; m * n + 1], vec![f32::NAN; m * n + 1]);
+        kernels::t_matmul(a, b, rows, m, n, &mut fast[1..]);
+        kernels::t_matmul_scalar(a, b, rows, m, n, &mut slow[1..]);
+        assert_same_bits(&fast[1..], &slow[1..], &format!("t_matmul ({rows}x{m})^T {rows}x{n}"));
+    }
+
+    #[test]
+    fn matmul_t_dispatch_matches_scalar_bitwise(
+        pa in entries(), pb in entries(),
+        m in side(), n in side(), k in side(),
+        oa in 0usize..4, ob in 0usize..4,
+    ) {
+        let (a, b) = (operand(&pa, oa, m * k), operand(&pb, ob, n * k));
+        let (mut fast, mut slow) = (vec![f32::NAN; m * n + 1], vec![f32::NAN; m * n + 1]);
+        kernels::matmul_t(a, b, m, n, k, &mut fast[1..]);
+        kernels::matmul_t_scalar(a, b, m, n, k, &mut slow[1..]);
+        assert_same_bits(&fast[1..], &slow[1..], &format!("matmul_t {m}x{k} ({n}x{k})^T"));
+    }
+
+    #[test]
+    fn cross_sq_dists_dispatch_matches_scalar_bitwise(
+        pa in entries(), pb in entries(),
+        na in side(), nb in side(), dim in side(),
+        oa in 0usize..4, ob in 0usize..4,
+    ) {
+        let (a, b) = (operand(&pa, oa, na * dim), operand(&pb, ob, nb * dim));
+        let (mut fast, mut slow) = (vec![f32::NAN; na * nb + 1], vec![f32::NAN; na * nb + 1]);
+        kernels::cross_sq_dists_into(a, b, na, nb, dim, &mut fast[1..]);
+        kernels::cross_sq_dists_scalar(a, b, na, nb, dim, &mut slow[1..]);
+        assert_same_bits(&fast[1..], &slow[1..], &format!("cross_sq_dists {na}x{nb} dim {dim}"));
     }
 }
