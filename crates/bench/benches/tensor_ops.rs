@@ -1,13 +1,15 @@
-//! Autograd engine micro-benchmarks: the three products that dominate
-//! matcher training and scoring (Table 9's mechanism), at the trunk's
-//! shapes, dispatched and forced-scalar in one process.
+//! Autograd engine micro-benchmarks: the three products and the
+//! transcendental kernels that dominate matcher training and scoring
+//! (Table 9's mechanism), at the trunk's shapes, dispatched and
+//! forced-scalar in one process; the transcendentals also against the
+//! libm formulas they replaced.
 //!
 //! Writes `REPRO_OUT/BENCH_tensor.json` (default `results/`) with the
-//! Gflop/s of every row, the thread count and the SIMD level, and fails
-//! if the dispatched kernels are slower than the scalar loops. Both
-//! modes produce the same bits; the run checks that too.
+//! Gflop/s or ns per element of every row, the thread count and the SIMD
+//! level, and fails if the dispatched kernels are slower than the scalar
+//! loops. Both modes produce the same bits; the run checks that too.
 use dial_bench::report::{json_f64, json_obj, json_str, print_table};
-use dial_tensor::{init, Graph, Matrix, ParamStore};
+use dial_tensor::{init, kernels, Graph, Matrix, ParamStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -53,6 +55,59 @@ fn cases(rng: &mut StdRng) -> Vec<(String, Product, Matrix, Matrix, f64)> {
     out.push((format!("matmul {N}x{N} @ {N}x16"), Matrix::matmul, attn.clone(), k.clone(), flops));
     out.push((format!("t_matmul ({N}x{N})^T @ {N}x16"), Matrix::t_matmul, attn, k, flops));
     out
+}
+
+/// `(input, out, saved tanh)` → `out`; the kernel and its libm formula.
+type Elementwise = fn(&[f32], &mut [f32], &mut [f32]);
+
+/// The transcendental kernels at one layer's shapes — GELU over the
+/// `48 × d_ff` hidden activations, softmax over one head's `48 × 48`
+/// scores — and the bare `exp`/`tanh` maps: `(row, rows, cols, kernel,
+/// libm formula)`.
+fn transcendentals() -> Vec<(&'static str, usize, usize, Elementwise, Elementwise)> {
+    fn map(x: &[f32], out: &mut [f32], f: impl Fn(&mut [f32])) {
+        out.copy_from_slice(x);
+        f(out);
+    }
+    vec![
+        (
+            "exp",
+            N,
+            128,
+            |x, out, _| map(x, out, kernels::exp_slice),
+            |x, out, _| map(x, out, |v| v.iter_mut().for_each(|e| *e = e.exp())),
+        ),
+        (
+            "tanh",
+            N,
+            128,
+            |x, out, _| map(x, out, kernels::tanh_slice),
+            |x, out, _| map(x, out, |v| v.iter_mut().for_each(|e| *e = e.tanh())),
+        ),
+        ("gelu", N, 128, kernels::gelu, |x, out, tanh| {
+            for ((&x, o), t) in x.iter().zip(out).zip(tanh) {
+                *t = (0.797_884_6 * (x + 0.044715 * x * x * x)).tanh();
+                *o = 0.5 * x * (1.0 + *t);
+            }
+        }),
+        (
+            "softmax_rows",
+            N,
+            N,
+            |x, out, _| kernels::softmax_rows(x, N, out),
+            |x, out, _| {
+                for (row, o) in x.chunks_exact(N).zip(out.chunks_exact_mut(N)) {
+                    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                    let mut sum = 0.0;
+                    for (o, v) in o.iter_mut().zip(row) {
+                        *o = (v - max).exp();
+                        sum += *o;
+                    }
+                    o.iter_mut().for_each(|v| *v /= sum);
+                }
+            },
+        ),
+    ]
 }
 
 /// Median seconds per call over 15 samples of ~2 ms each.
@@ -139,6 +194,44 @@ fn main() {
         ]));
     }
 
+    // The transcendental kernels: dispatched, forced scalar, and libm.
+    let mut trans_rows = Vec::new();
+    let mut trans_cells = Vec::new();
+    let (mut trans_simd_s, mut trans_scalar_s) = (0.0, 0.0);
+    for (name, r, c, kernel, libm) in transcendentals() {
+        let x = init::normal(r, c, 2.0, &mut rng).into_vec();
+        let (mut out, mut saved) = (vec![0.0f32; x.len()], vec![0.0f32; x.len()]);
+        let mut run = |f: Elementwise| {
+            time_call(&mut || f(black_box(&x), black_box(&mut out), black_box(&mut saved)))
+        };
+        let (t_simd, t_libm) = (run(kernel), run(libm));
+        let t_scalar = forced_scalar(|| run(kernel));
+        let (mut fast, mut slow) = (out.clone(), out.clone());
+        kernel(&x, &mut fast, &mut saved);
+        forced_scalar(|| kernel(&x, &mut slow, &mut saved));
+        assert!(
+            fast.iter().zip(&slow).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{name}: dispatched and forced-scalar results differ"
+        );
+        trans_simd_s += t_simd;
+        trans_scalar_s += t_scalar;
+        let ns = |t: f64| t * 1e9 / x.len() as f64;
+        trans_cells.push(vec![
+            format!("{name} {r}x{c}"),
+            format!("{:.2}", ns(t_simd)),
+            format!("{:.2}", ns(t_scalar)),
+            format!("{:.2}", ns(t_libm)),
+            format!("{:.2}", t_libm / t_simd),
+        ]);
+        trans_rows.push(json_obj(&[
+            ("op", json_str(&format!("{name} {r}x{c}"))),
+            ("ns_per_element", json_f64(ns(t_simd))),
+            ("ns_per_element_scalar", json_f64(ns(t_scalar))),
+            ("ns_per_element_libm", json_f64(ns(t_libm))),
+            ("speedup_vs_libm", json_f64(t_libm / t_simd)),
+        ]));
+    }
+
     // Forward + backward through an attention-shaped graph: the kernels
     // plus the tape's own overhead.
     let mut store = ParamStore::new();
@@ -152,6 +245,11 @@ fn main() {
         &format!("Tensor products at the trunk's shapes ({simd}, {threads} threads)"),
         &["Product", "Gflop/s", "Gflop/s scalar", "Speedup"],
         &cells,
+    );
+    print_table(
+        "Transcendental kernels, ns per element",
+        &["Kernel", "Dispatched", "Forced scalar", "libm", "vs libm"],
+        &trans_cells,
     );
     let (gflops, gflops_scalar) = (flops_sum / simd_s / 1e9, flops_sum / scalar_s / 1e9);
     println!(
@@ -167,6 +265,7 @@ fn main() {
         ("attention_fwd_bwd_us", json_f64(attn_us)),
         ("attention_fwd_bwd_scalar_us", json_f64(attn_scalar_us)),
         ("products", format!("[{}]", rows.join(","))),
+        ("transcendentals", format!("[{}]", trans_rows.join(","))),
     ]);
     // Anchored to the workspace root like BENCH_ann.json: cargo runs bench
     // binaries from the package directory.
@@ -186,5 +285,11 @@ fn main() {
     assert!(
         gflops >= floor * gflops_scalar,
         "dispatched products ({gflops:.1} Gflop/s) are slower than the scalar loops ({gflops_scalar:.1})"
+    );
+    assert!(
+        floor * trans_simd_s <= trans_scalar_s,
+        "dispatched transcendentals ({:.1} us) are slower than their scalar bodies ({:.1} us)",
+        trans_simd_s * 1e6,
+        trans_scalar_s * 1e6
     );
 }

@@ -333,26 +333,10 @@ impl DialSystem {
                 .map(|(c, _)| (c.r, c.s))
                 .collect();
 
-            // Test-set prediction: in cand AND matcher-positive.
-            let test_preds: HashSet<(u32, u32)> = data
-                .test
-                .par_iter()
-                .filter(|p| cand_keys.contains(&p.key()))
-                .map(|p| {
-                    (
-                        p,
-                        self.matcher.prob(
-                            &self.store,
-                            &self.model,
-                            &self.vocab,
-                            data.r.get(p.r),
-                            data.s.get(p.s),
-                        ),
-                    )
-                })
-                .filter(|(_, prob)| *prob > 0.5)
-                .map(|(p, _)| p.key())
-                .collect();
+            // Test-set prediction: in cand AND matcher-positive. Every such
+            // pair was scored above, so `predicted` already holds the answer.
+            let test_preds: HashSet<(u32, u32)> =
+                data.test.iter().map(|p| p.key()).filter(|k| predicted.contains(k)).collect();
 
             let metrics = RoundMetrics {
                 round,

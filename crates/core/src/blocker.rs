@@ -14,7 +14,7 @@ use crate::config::{BlockerObjective, DialConfig, NegativeSource};
 use crate::encode::ListEmbeddings;
 use dial_datasets::LabeledPair;
 use dial_tensor::optim::AdamW;
-use dial_tensor::{init, Graph, Matrix, ParamId, ParamStore, Var};
+use dial_tensor::{init, kernels, Graph, Matrix, ParamId, ParamStore, Var};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -103,8 +103,10 @@ impl CommitteeMember {
             }
         }
         for (o, &bv) in out.iter_mut().zip(b.row(0)) {
-            *o = (*o + bv).tanh();
+            *o += bv;
         }
+        // The `tanh` that `embed_graph` trains with.
+        kernels::tanh_slice(&mut out);
         out
     }
 

@@ -189,7 +189,7 @@ fn train_logistic(
 
 fn logistic_prob(w: &[f32], b: f32, x: &[f32]) -> f32 {
     let z: f32 = w.iter().zip(x).map(|(a, c)| a * c).sum::<f32>() + b;
-    1.0 / (1.0 + (-z).exp())
+    dial_tensor::sigmoid(z)
 }
 
 #[cfg(test)]

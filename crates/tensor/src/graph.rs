@@ -241,21 +241,15 @@ impl Graph {
 
     pub fn tanh(&mut self, a: Var) -> Var {
         let mut v = self.value(a).clone();
-        v.as_mut_slice().iter_mut().for_each(|x| *x = x.tanh());
+        kernels::tanh_slice(v.as_mut_slice());
         self.push(Op::Tanh(a), v)
     }
 
     pub fn gelu(&mut self, a: Var) -> Var {
-        let mut v = self.value(a).clone();
-        let tanh = v
-            .as_mut_slice()
-            .iter_mut()
-            .map(|x| {
-                let t = gelu_tanh(*x);
-                *x = 0.5 * *x * (1.0 + t);
-                t
-            })
-            .collect();
+        let va = self.value(a);
+        let mut v = Matrix::zeros(va.rows(), va.cols());
+        let mut tanh = vec![0.0; va.len()];
+        kernels::gelu(va.as_slice(), v.as_mut_slice(), &mut tanh);
         self.push(Op::Gelu { x: a, tanh }, v)
     }
 
@@ -267,7 +261,7 @@ impl Graph {
 
     pub fn sigmoid(&mut self, a: Var) -> Var {
         let mut v = self.value(a).clone();
-        v.as_mut_slice().iter_mut().for_each(|x| *x = sigmoid(*x));
+        kernels::sigmoid_slice(v.as_mut_slice());
         self.push(Op::Sigmoid(a), v)
     }
 
@@ -287,10 +281,8 @@ impl Graph {
 
     pub fn softmax_rows(&mut self, a: Var) -> Var {
         let va = self.value(a);
-        let mut v = va.clone();
-        for r in 0..v.rows() {
-            softmax_in_place(v.row_mut(r));
-        }
+        let mut v = Matrix::zeros(va.rows(), va.cols());
+        kernels::softmax_rows(va.as_slice(), va.cols(), v.as_mut_slice());
         self.push(Op::SoftmaxRows(a), v)
     }
 
@@ -298,7 +290,7 @@ impl Graph {
         let va = self.value(a);
         let mut out = Matrix::zeros(va.rows(), 1);
         for r in 0..va.rows() {
-            out.set(r, 0, logsumexp(va.row(r)));
+            out.set(r, 0, kernels::logsumexp(va.row(r)));
         }
         self.push(Op::LogSumExpRows(a), out)
     }
@@ -458,7 +450,7 @@ impl Graph {
         for (r, &t) in targets.iter().enumerate() {
             let z = vl.get(r, 0);
             // Numerically stable: max(z,0) - z*t + ln(1 + exp(-|z|))
-            loss += z.max(0.0) - z * t + (-z.abs()).exp().ln_1p();
+            loss += z.max(0.0) - z * t + kernels::exp(-z.abs()).ln_1p();
         }
         let v = Matrix::scalar(loss / targets.len() as f32);
         self.push(Op::BceWithLogits { logits, targets: targets.to_vec() }, v)
@@ -472,7 +464,7 @@ impl Graph {
         for (r, &t) in targets.iter().enumerate() {
             let row = vl.row(r);
             assert!((t as usize) < row.len(), "target class out of range");
-            loss += logsumexp(row) - row[t as usize];
+            loss += kernels::logsumexp(row) - row[t as usize];
         }
         let v = Matrix::scalar(loss / targets.len() as f32);
         self.push(Op::SoftmaxCrossEntropy { logits, targets: targets.to_vec() }, v)
@@ -653,13 +645,10 @@ impl Graph {
                 // dx_rc = g_r * softmax(x_r)_c
                 let x = self.value(*a);
                 let mut da = Matrix::zeros(x.rows(), x.cols());
+                kernels::softmax_rows(x.as_slice(), x.cols(), da.as_mut_slice());
                 for r in 0..x.rows() {
-                    let mut sm = x.row(r).to_vec();
-                    softmax_in_place(&mut sm);
                     let gr = g.get(r, 0);
-                    for (d, s) in da.row_mut(r).iter_mut().zip(&sm) {
-                        *d = gr * s;
-                    }
+                    da.row_mut(r).iter_mut().for_each(|d| *d *= gr);
                 }
                 acc(grads, *a, da);
             }
@@ -825,7 +814,7 @@ impl Graph {
                 let scale = g.item() / targets.len() as f32;
                 let mut dl = Matrix::zeros(vl.rows(), 1);
                 for (r, &t) in targets.iter().enumerate() {
-                    dl.set(r, 0, scale * (sigmoid(vl.get(r, 0)) - t));
+                    dl.set(r, 0, scale * (kernels::sigmoid(vl.get(r, 0)) - t));
                 }
                 acc(grads, *logits, dl);
             }
@@ -833,13 +822,11 @@ impl Graph {
                 let vl = self.value(*logits);
                 let scale = g.item() / targets.len() as f32;
                 let mut dl = Matrix::zeros(vl.rows(), vl.cols());
+                kernels::softmax_rows(vl.as_slice(), vl.cols(), dl.as_mut_slice());
                 for (r, &t) in targets.iter().enumerate() {
-                    let mut sm = vl.row(r).to_vec();
-                    softmax_in_place(&mut sm);
-                    sm[t as usize] -= 1.0;
-                    for (d, s) in dl.row_mut(r).iter_mut().zip(&sm) {
-                        *d = scale * s;
-                    }
+                    let row = dl.row_mut(r);
+                    row[t as usize] -= 1.0;
+                    row.iter_mut().for_each(|d| *d *= scale);
                 }
                 acc(grads, *logits, dl);
             }
@@ -854,45 +841,11 @@ fn acc(grads: &mut [Option<Matrix>], v: Var, delta: Matrix) {
     }
 }
 
-/// Numerically stable in-place softmax of one row.
-pub fn softmax_in_place(row: &mut [f32]) {
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0;
-    for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
-    for v in row.iter_mut() {
-        *v /= sum;
-    }
-}
-
-/// Numerically stable log-sum-exp of one row.
-pub fn logsumexp(row: &[f32]) -> f32 {
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    if max == f32::NEG_INFINITY {
-        return f32::NEG_INFINITY;
-    }
-    max + row.iter().map(|v| (v - max).exp()).sum::<f32>().ln()
-}
-
-#[inline]
-pub fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
-
-const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
-
-/// The `tanh(u)` of the GELU approximation `0.5·x·(1 + tanh(u))`.
-#[inline]
-fn gelu_tanh(x: f32) -> f32 {
-    (GELU_C * (x + 0.044715 * x * x * x)).tanh()
-}
-
-/// GELU's derivative at `x`, given `t = gelu_tanh(x)` from the forward.
+/// GELU's derivative at `x`, given the `t` that [`kernels::gelu`] saved in
+/// the forward.
 #[inline]
 fn gelu_grad(x: f32, t: f32) -> f32 {
-    let du = GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
+    let du = kernels::GELU_C * (1.0 + 3.0 * kernels::GELU_K * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 }
 
@@ -1196,7 +1149,7 @@ mod tests {
 
     #[test]
     fn logsumexp_handles_extremes() {
-        assert!((logsumexp(&[1000.0, 1000.0]) - (1000.0 + 2.0f32.ln())).abs() < 1e-3);
-        assert!((logsumexp(&[-1000.0, 0.0]) - 0.0).abs() < 1e-3);
+        assert!((kernels::logsumexp(&[1000.0, 1000.0]) - (1000.0 + 2.0f32.ln())).abs() < 1e-3);
+        assert!((kernels::logsumexp(&[-1000.0, 0.0]) - 0.0).abs() < 1e-3);
     }
 }

@@ -12,6 +12,15 @@
 //! plus [`cross_sq_dists_into`], the all-pairs squared distances shared by
 //! `Graph::cross_sq_dists` and the matcher's coverage features.
 //!
+//! What is left of a forward after the products is transcendental: GELU's
+//! `tanh` and softmax's `exp`. Those live in the `transcendental`
+//! submodule, re-exported here — [`exp`] and [`tanh`] as in-repo
+//! definitions (the scalar body *is* the function; libm is not called),
+//! and the slice kernels [`gelu`], [`softmax_rows`], [`logsumexp`],
+//! [`tanh_slice`], [`sigmoid_slice`], [`exp_slice`] under the same
+//! dispatch and the same bitwise contract. Definitions, error bounds and
+//! the reduction lane order are in that file's module docs.
+//!
 //! # Determinism contract
 //!
 //! The AVX2 paths are **bitwise equal** to the scalar loops, not merely
@@ -56,6 +65,15 @@
 //! * `cross_sq_dists_into`: `b` is transposed once into a scratch buffer
 //!   so eight pairs `(i, j..j+8)` advance together, each lane running
 //!   [`sq_dist`]'s serial `s += d·d` chain.
+
+mod transcendental;
+
+pub use transcendental::{
+    exp, exp_slice, exp_slice_scalar, gelu, gelu_scalar, logsumexp, logsumexp_scalar, sigmoid,
+    sigmoid_slice, sigmoid_slice_scalar, softmax_rows, softmax_rows_scalar, tanh, tanh_slice,
+    tanh_slice_scalar, TANH_CROSSOVER,
+};
+pub(crate) use transcendental::{GELU_C, GELU_K};
 
 use crate::matrix::{dot, sq_dist};
 #[cfg(target_arch = "x86_64")]

@@ -6,8 +6,10 @@
 //! * [`Matrix`] — dense row-major `f32` matrices whose `matmul` /
 //!   `matmul_t` / `t_matmul` run on the [`kernels`] module;
 //! * [`kernels`] — the three products (and the all-pairs squared
-//!   distances) as register-tiled AVX2 code picked at runtime, with the
-//!   scalar loops kept as fallback and parity oracle;
+//!   distances) as register-tiled AVX2 code, and `exp`/`tanh` as in-repo
+//!   definitions with the GELU / softmax / log-sum-exp / sigmoid slice
+//!   kernels built on them; all picked at runtime, with the scalar bodies
+//!   kept as fallback and parity oracle;
 //! * [`ParamStore`] / [`ParamId`] — named trainable parameters with gradient
 //!   buffers, freezing, snapshot/restore (used to reset the matcher to its
 //!   pre-trained weights each active-learning round); values are shared
@@ -38,6 +40,13 @@
 //! [`kernels`] for the contract, the zero-skip argument and the tile
 //! shapes.
 //!
+//! Nor of the host's libm on the hot path: `tanh` and `exp` — under GELU,
+//! softmax, log-sum-exp, sigmoid and the losses that use them — are the
+//! polynomial definitions in [`kernels`], the same bits on every host.
+//! libm is still called for `ln`/`ln_1p` (once per log-sum-exp row and per
+//! BCE term), `ln`/`cos` in [`init::normal`] and `powi` in AdamW's bias
+//! correction.
+//!
 //! ```
 //! use dial_tensor::{Graph, Matrix, ParamStore, optim::Sgd};
 //!
@@ -67,6 +76,7 @@ pub mod matrix;
 pub mod optim;
 pub mod params;
 
-pub use graph::{logsumexp, sigmoid, softmax_in_place, Graph, Var};
+pub use graph::{Graph, Var};
+pub use kernels::{logsumexp, sigmoid};
 pub use matrix::{dot, sq_dist, Matrix};
 pub use params::{Grads, ParamId, ParamStore, Snapshot};

@@ -225,9 +225,9 @@ impl Matrix {
         self.data.iter().sum()
     }
 
-    /// Squared Frobenius norm.
+    /// Squared Frobenius norm, in [`dot`]'s four-lane order.
     pub fn sq_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum()
+        dot(&self.data, &self.data)
     }
 
     /// Copy rows `lo..hi` into a new matrix.
