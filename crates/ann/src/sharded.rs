@@ -1072,6 +1072,12 @@ mod tests {
 
     // ---- transport-backed probing: stats, hedging, failover ----
 
+    /// A hedge delay no failing replica's *error* can lose to: with the
+    /// default 1 ms, a stalled vCPU lets the timer fire first, the event is
+    /// counted as a hedge, and an exact `failovers` assertion fails though
+    /// every answer is right.
+    const FAILOVER_ONLY: Duration = Duration::from_secs(60);
+
     /// A transport wrapper that fails the first `fail` searches and/or
     /// sleeps before answering — the fault-injection double for the
     /// hedging and failover paths.
@@ -1168,10 +1174,12 @@ mod tests {
 
     #[test]
     fn hedged_probe_recovers_a_slow_replica() {
-        // Shard 0's preferred replica answers after 80 ms; its second
-        // replica is fast. With a 1 ms hedge delay the hedge must fire,
-        // win, and return the same exact hits — first response wins is
-        // invisible because replicas are identical.
+        // Shard 0's preferred replica answers after 5 s (far beyond any
+        // scheduler stall; the probe returns on the first response and
+        // leaves it detached); its second replica is fast. With a 1 ms
+        // hedge delay the hedge must fire, win, and return the same exact
+        // hits — first response wins is invisible because replicas are
+        // identical.
         let dim = 3;
         let n = 2;
         let data = random_data(24, dim, 22);
@@ -1188,7 +1196,7 @@ mod tests {
             Metric::L2,
             RowFormat::F32,
             vec![
-                ShardHandle::new(vec![mk(0, 0, 80), mk(0, 0, 0)]),
+                ShardHandle::new(vec![mk(0, 0, 5000), mk(0, 0, 0)]),
                 ShardHandle::new(vec![mk(1, 0, 0)]),
             ],
         );
@@ -1215,12 +1223,13 @@ mod tests {
         let mk = |s: usize, fail: u64| -> Arc<dyn ShardTransport> {
             Arc::new(FaultyShard::over(&shard_rows(&data, dim, s, n), dim, fail, Duration::ZERO))
         };
-        let ix = ShardedIndex::from_handles(
+        let mut ix = ShardedIndex::from_handles(
             dim,
             Metric::L2,
             RowFormat::F32,
             vec![ShardHandle::new(vec![mk(0, 2), mk(0, 0)]), ShardHandle::new(vec![mk(1, 0)])],
         );
+        ix.set_hedge_delay(Some(FAILOVER_ONLY));
         let flat = flat_over(&data, dim, Metric::L2);
         for round in 0..3 {
             let got = ix.try_search_batch(&data[0..2 * dim], 5).expect("failover succeeds");
@@ -1264,12 +1273,13 @@ mod tests {
         let mk = |fail: u64| -> Arc<dyn ShardTransport> {
             Arc::new(FaultyShard::over(&shard_rows(&data, dim, 0, 1), dim, fail, Duration::ZERO))
         };
-        let ix = ShardedIndex::from_handles(
+        let mut ix = ShardedIndex::from_handles(
             dim,
             Metric::L2,
             RowFormat::F32,
             vec![ShardHandle::new(vec![mk(5), mk(5)])],
         );
+        ix.set_hedge_delay(Some(FAILOVER_ONLY));
         let err = ix.try_search(&data[0..dim], 2).expect_err("all replicas down");
         assert!(matches!(err, TransportError::Truncated));
         let stats = ix.shard_stats();

@@ -19,14 +19,13 @@ use crate::engine::{RetrievalEngine, TuneConfig, TuningOutcome};
 use crate::eval::{all_pairs_prf, blocker_recall, test_prf, Prf};
 use crate::matcher::Matcher;
 use crate::oracle::Oracle;
-use crate::select::{select, SelectionInputs};
+use crate::select::{reads_feats, reads_labeled_feats, select, SelectionInputs};
 use dial_datasets::{EmDataset, LabeledPair};
 use dial_tensor::{ParamStore, Snapshot};
-use dial_text::{TokenId, Vocab};
+use dial_text::{Record, TokenId, Vocab};
 use dial_tplm::{inject_alignment, pretrain_sgns, PretrainConfig, Tplm};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -307,22 +306,11 @@ impl DialSystem {
             // (4) Matcher probabilities over the candidate set (drives both
             // evaluation and selection).
             let t_match = Instant::now();
-            let scored: Vec<(f32, Vec<f32>)> = cand
-                .pairs()
-                .par_iter()
-                .map(|c| {
-                    self.matcher.prob_and_feature(
-                        &self.store,
-                        &self.model,
-                        &self.vocab,
-                        data.r.get(c.r),
-                        data.s.get(c.s),
-                    )
-                })
-                .collect();
+            let pairs: Vec<(&Record, &Record)> =
+                cand.pairs().iter().map(|c| (data.r.get(c.r), data.s.get(c.s))).collect();
+            let (probs, packed_feats) =
+                self.matcher.score_batch(&self.store, &self.model, &self.vocab, &pairs);
             let matching_time = t_match.elapsed().as_secs_f64();
-            let probs: Vec<f32> = scored.iter().map(|(p, _)| *p).collect();
-            let feats: Vec<Vec<f32>> = scored.into_iter().map(|(_, f)| f).collect();
 
             let cand_keys = cand.key_set();
             let predicted: HashSet<(u32, u32)> = cand
@@ -364,19 +352,24 @@ impl DialSystem {
                 let t_sel = Instant::now();
                 let mut excluded: HashSet<(u32, u32)> = test_keys.clone();
                 excluded.extend(labeled.iter().map(|p| p.key()));
-                let labeled_feats: Vec<(Vec<f32>, bool)> = labeled
-                    .par_iter()
-                    .map(|p| {
-                        let (_, f) = self.matcher.prob_and_feature(
-                            &self.store,
-                            &self.model,
-                            &self.vocab,
-                            data.r.get(p.r),
-                            data.s.get(p.s),
-                        );
-                        (f, p.label)
-                    })
-                    .collect();
+                // Only BADGE and QBC read features, and only QBC the
+                // labeled pairs' (one more scoring pass): the other
+                // selectors get empty slices.
+                let width = self.matcher.feature_width(&self.store);
+                let rows = |packed: &[f32]| -> Vec<Vec<f32>> {
+                    packed.chunks_exact(width).map(<[f32]>::to_vec).collect()
+                };
+                let feats =
+                    if reads_feats(cfg.selection) { rows(&packed_feats) } else { Vec::new() };
+                let labeled_feats: Vec<(Vec<f32>, bool)> = if reads_labeled_feats(cfg.selection) {
+                    let pairs: Vec<(&Record, &Record)> =
+                        labeled.iter().map(|p| (data.r.get(p.r), data.s.get(p.s))).collect();
+                    let (_, packed) =
+                        self.matcher.score_batch(&self.store, &self.model, &self.vocab, &pairs);
+                    rows(&packed).into_iter().zip(labeled.iter().map(|p| p.label)).collect()
+                } else {
+                    Vec::new()
+                };
                 let inputs = SelectionInputs {
                     cands: cand.pairs(),
                     probs: &probs,

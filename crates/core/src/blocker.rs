@@ -69,9 +69,11 @@ impl Normalization {
         Normalization { mean: mean.into_iter().map(|m| m as f32).collect(), inv_std }
     }
 
-    /// Standardize one row.
-    pub fn apply(&self, row: &[f32]) -> Vec<f32> {
-        row.iter().zip(&self.mean).zip(&self.inv_std).map(|((&v, m), s)| (v - m) * s).collect()
+    /// Standardize one row in place.
+    pub fn apply(&self, row: &mut [f32]) {
+        for ((v, m), s) in row.iter_mut().zip(&self.mean).zip(&self.inv_std) {
+            *v = (*v - m) * s;
+        }
     }
 }
 
@@ -87,7 +89,9 @@ pub struct CommitteeMember {
 }
 
 impl CommitteeMember {
-    /// Transform one trunk embedding without building a graph (inference).
+    /// Transform one (standardized) trunk embedding without building a
+    /// graph: the row-at-a-time definition [`Committee::embed_list`]'s
+    /// whole-list products are tested against.
     pub fn embed(&self, store: &ParamStore, e: &[f32]) -> Vec<f32> {
         let w = store.value(self.w);
         let b = store.value(self.b);
@@ -210,17 +214,26 @@ impl Committee {
     }
 
     /// Committee embeddings of a whole list: one packed `[n, d]` buffer per
-    /// member.
+    /// member, `tanh((M_k ⊙ x) · W_k + b_k)` as one product over the
+    /// standardized list. Row `i` is bitwise [`CommitteeMember::embed`] of
+    /// record `i`: the product sums each output element over the input
+    /// coordinates in order, as `embed`'s loop does, and skipping its
+    /// masked-out zeros is the identity (see `dial_tensor::kernels`).
     pub fn embed_list(&self, store: &ParamStore, emb: &ListEmbeddings) -> Vec<Vec<f32>> {
-        use rayon::prelude::*;
+        let (n, d) = (emb.len(), self.dim);
+        let mut x = emb.data.clone();
+        x.chunks_exact_mut(d).for_each(|row| self.norm.apply(row));
         self.members
             .iter()
             .map(|m| {
-                (0..emb.len() as u32)
-                    .into_par_iter()
-                    .map(|id| m.embed(store, &self.norm.apply(emb.row(id))))
-                    .flatten_iter()
-                    .collect()
+                let masked: Vec<f32> =
+                    x.iter().zip(m.mask.iter().cycle()).map(|(v, k)| v * k).collect();
+                let w = store.value(m.w);
+                let mut out = vec![0.0; n * w.cols()];
+                kernels::matmul(&masked, w.as_slice(), n, d, w.cols(), &mut out);
+                kernels::add_row(&mut out, store.value(m.b).as_slice());
+                kernels::tanh_slice(&mut out);
+                out
             })
             .collect()
     }
@@ -256,7 +269,8 @@ fn sample_mask(dim: usize, keep_p: f32, rng: &mut StdRng) -> Vec<f32> {
 fn gather_rows(emb: &ListEmbeddings, norm: &Normalization, ids: &[u32]) -> Matrix {
     let mut m = Matrix::zeros(ids.len(), emb.dim);
     for (i, &id) in ids.iter().enumerate() {
-        m.row_mut(i).copy_from_slice(&norm.apply(emb.row(id)));
+        m.row_mut(i).copy_from_slice(emb.row(id));
+        norm.apply(m.row_mut(i));
     }
     m
 }
@@ -603,6 +617,31 @@ mod tests {
         };
         let loss = c.train(&mut store, &er, &es, &labeled, &cfg, 0);
         assert!(loss.is_finite());
+    }
+
+    #[test]
+    fn embed_list_is_bitwise_the_per_record_embed() {
+        // A fitted normalization, trained weights and a sparse mask, at the
+        // default trunk width.
+        let (er, es) = toy_embeddings(37, 64);
+        let mut store = ParamStore::new();
+        let mut c = Committee::new(&mut store, 3, 64, 0.5, 7);
+        let cfg = DialConfig {
+            blocker_epochs: 2,
+            ..toy_cfg(BlockerObjective::Contrastive, NegativeSource::Random)
+        };
+        c.train(&mut store, &er, &es, &labeled_pairs(37), &cfg, 0);
+        let views = c.embed_list(&store, &es);
+        for (member, view) in c.members().iter().zip(&views) {
+            for id in 0..es.len() as u32 {
+                let mut e = es.row(id).to_vec();
+                c.normalization().apply(&mut e);
+                let want = member.embed(&store, &e);
+                let got = &view[id as usize * 64..(id as usize + 1) * 64];
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got), bits(&want), "record {id}");
+            }
+        }
     }
 
     #[test]

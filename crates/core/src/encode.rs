@@ -7,8 +7,11 @@
 
 use dial_tensor::ParamStore;
 use dial_text::{RecordList, Vocab};
-use dial_tplm::Tplm;
+use dial_tplm::{EncodeScratch, Tplm};
 use rayon::prelude::*;
+
+/// Records one worker encodes on one [`EncodeScratch`].
+const ENCODE_CHUNK: usize = 16;
 
 /// Packed `[n, d]` embeddings of a record list.
 #[derive(Debug, Clone)]
@@ -35,7 +38,8 @@ impl ListEmbeddings {
 }
 
 /// Encode every record of `list` in single mode with the current trunk
-/// weights.
+/// weights (graph-free; row `i` is bitwise `Tplm::embed_single` of record
+/// `i`).
 pub fn encode_list(
     model: &Tplm,
     store: &ParamStore,
@@ -44,17 +48,20 @@ pub fn encode_list(
 ) -> ListEmbeddings {
     let max_len = model.config().max_len;
     let dim = model.config().d_model;
-    let rows: Vec<Vec<f32>> = list
+    let chunks: Vec<Vec<f32>> = list
         .records()
-        .par_iter()
-        .map(|rec| model.embed_single(store, &rec.single_mode_ids(vocab, max_len)))
+        .par_chunks(ENCODE_CHUNK)
+        .map(|records| {
+            let mut scratch = EncodeScratch::default();
+            let mut rows = vec![0.0; records.len() * dim];
+            for (rec, row) in records.iter().zip(rows.chunks_exact_mut(dim)) {
+                let ids = rec.single_mode_ids(vocab, max_len);
+                model.embed_single_into(store, &ids, &mut scratch, row);
+            }
+            rows
+        })
         .collect();
-    let mut data = Vec::with_capacity(rows.len() * dim);
-    for r in rows {
-        debug_assert_eq!(r.len(), dim);
-        data.extend_from_slice(&r);
-    }
-    ListEmbeddings { dim, data }
+    ListEmbeddings { dim, data: chunks.concat() }
 }
 
 #[cfg(test)]
@@ -91,7 +98,7 @@ mod tests {
             list.push(vec![format!("record number {i} with words")]);
         }
         let emb = encode_list(&model, &store, &list, &vocab);
-        for rec in list.iter().take(5) {
+        for rec in list.iter() {
             let direct =
                 model.embed_single(&store, &rec.single_mode_ids(&vocab, model.config().max_len));
             assert_eq!(emb.row(rec.id), direct.as_slice());

@@ -7,6 +7,13 @@
 //! minimizes binary cross-entropy (Eq. 6) over the labeled pairs with
 //! AdamW, a smaller trunk learning rate, and a linear no-warm-up schedule.
 //!
+//! Inference — [`Matcher::prob`], [`Matcher::prob_and_feature`] and the
+//! batch entry [`Matcher::score_batch`] — runs graph-free: the trunk's
+//! `encode_into` and the head's few kernel calls on plain buffers, with the
+//! coverage block shared with the tape path, so a score is bitwise
+//! `logit_and_hidden(train = false)`'s and nothing is recorded that only a
+//! backward pass would read.
+//!
 //! Gradient batches are data-parallel: the batch is split into chunks, each
 //! chunk reads the one parameter store and accumulates into a gradient
 //! shard of its own (allocated once per `train` call), and the shards are
@@ -18,11 +25,16 @@ use dial_datasets::LabeledPair;
 use dial_tensor::optim::{AdamW, LrGroup, Schedule};
 use dial_tensor::{init, kernels, sigmoid, Grads, Graph, Matrix, ParamId, ParamStore, Var};
 use dial_text::{paired_mode_ids, Record, TokenId, Vocab};
-use dial_tplm::{Tplm, TRUNK_PREFIX};
+use dial_tplm::{EncodeScratch, Tplm, TRUNK_PREFIX};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
+use std::ops::Range;
+
+/// Pairs one worker scores on one [`EncodeScratch`] in
+/// [`Matcher::score_batch`].
+const SCORE_CHUNK: usize = 64;
 
 /// Parameter-name prefix of the matcher head.
 pub const MATCHER_PREFIX: &str = "matcher.";
@@ -86,15 +98,7 @@ impl Matcher {
     ) -> (Var, Var) {
         let p = if train { self.dropout } else { 0.0 };
         let ctx = model.encode(g, store, ids, p, rng);
-        let n = ids.len();
-        // The middle [SEP] position: first SEP after CLS.
-        let boundary = ids
-            .iter()
-            .position(|&t| t == dial_text::Vocab::SEP)
-            .expect("paired input must contain a separator");
-        // Token positions of the two records: between CLS and the middle
-        // SEP, and between it and the closing SEP.
-        let (span_r, span_s) = (1..boundary.max(2), (boundary + 1).min(n - 1)..n - 1);
+        let (span_r, span_s) = segment_spans(ids);
         let cls = g.slice_rows(ctx, 0, 1);
         let seg_r = g.slice_rows(ctx, span_r.start, span_r.end);
         let seg_s = g.slice_rows(ctx, span_s.start, span_s.end);
@@ -102,52 +106,19 @@ impl Matcher {
         let mean_s = g.mean_rows(seg_s);
         let diff = g.sub(mean_r, mean_s);
         let diff = g.abs(diff);
-        // Bidirectional soft-containment at two sharpness scales, over both
-        // the *contextual* embeddings and the raw token embeddings (where
-        // token identity is crisp): for each token on one side, the
-        // log-sum-exp of negated scaled distances to the other side ≈ its
-        // best alignment. Duplicates are covered both ways; near-duplicates
-        // leave decisive tokens unmatched. RoBERTa learns this comparison
-        // internally; the mini model gets it as an explicit feature block
-        // wired straight into the output layer (DESIGN.md §2).
         // The coverage block is *detached*: it is a deterministic reading of
         // the embeddings, computed outside the tape, so its (large)
         // gradients cannot crowd out the trunk's under global norm
         // clipping.
         let d = model.config().d_model;
-        let (ids_r, ids_s) = (&ids[span_r.clone()], &ids[span_s.clone()]);
-        // Crisp identity embeddings: fixed hash-random vectors per token id.
-        // Coverage over these is a smooth token-Jaccard, unaffected by how
-        // much pre-training contracts the semantic space.
-        let (crisp_r, crisp_s) =
-            (pack_rows(ids_r, CRISP_DIM, crisp_row), pack_rows(ids_s, CRISP_DIM, crisp_row));
         // A segment's contextual rows are contiguous in `ctx`: borrow them.
         let ctx_rows = g.value(ctx).as_slice();
-        let (ctx_r, ctx_s) = (
-            &ctx_rows[span_r.start * d..span_r.end * d],
-            &ctx_rows[span_s.start * d..span_s.end * d],
+        let cov_vals = coverage_block(
+            store.value(model.token_embedding_param()),
+            (&ids[span_r.clone()], &ctx_rows[span_r.start * d..span_r.end * d]),
+            (&ids[span_s.clone()], &ctx_rows[span_s.start * d..span_s.end * d]),
         );
-        let tok_table = store.value(model.token_embedding_param());
-        let tok_row = |t: TokenId, row: &mut [f32]| row.copy_from_slice(tok_table.row(t as usize));
-        let (tok_r, tok_s) = (pack_rows(ids_r, d, tok_row), pack_rows(ids_s, d, tok_row));
-        let mut cov_vals: Vec<f32> = Vec::with_capacity(8);
-        for (a, b, dim) in [
-            (&crisp_r[..], &crisp_s[..], CRISP_DIM),
-            (ctx_r, ctx_s, d),
-            (&tok_r[..], &tok_s[..], d),
-        ] {
-            // One distance matrix serves both directions: `(x − y)²` and
-            // `(y − x)²` are the same bits, so the transpose is exactly
-            // what scoring `b` against `a` pair by pair would give.
-            let dists = pair_sq_dists(a, b, dim);
-            let tau = dim as f32 / 8.0;
-            cov_vals.push(0.25 * coverage(&dists, tau));
-            cov_vals.push(0.25 * coverage(&dists.transpose(), tau));
-        }
-        // Plus a hard token-Jaccard scalar for good measure.
-        cov_vals.push(hard_jaccard(ids_r, ids_s));
-        cov_vals.push(0.0); // reserved
-        let cov = g.input(Matrix::row_vector(cov_vals));
+        let cov = g.input(Matrix::row_vector(cov_vals.to_vec()));
         let feat = g.concat_cols(&[cls, mean_r, mean_s, diff]);
         let feat = g.dropout(feat, p, rng);
         let w1 = g.param(store, self.w1);
@@ -187,22 +158,94 @@ impl Matcher {
         s: &Record,
     ) -> (f32, Vec<f32>) {
         let ids = paired_mode_ids(r, s, vocab, model.config().max_len);
-        let mut g = Graph::new();
-        let mut rng = StdRng::seed_from_u64(0);
-        let (z, h) = self.logit_and_hidden(&mut g, store, model, &ids, false, &mut rng);
-        let feature = g.value(h).as_slice().to_vec();
-        (sigmoid(g.value(z).item()), feature)
+        let mut feature = vec![0.0; self.feature_width(store)];
+        let p = self.score_ids(store, model, &ids, &mut EncodeScratch::default(), &mut feature);
+        (p, feature)
     }
 
-    /// Duplicate probabilities for many pairs, rayon-parallel.
-    pub fn probs_batch(
+    /// Width of the feature vector: the head's hidden layer plus the
+    /// coverage block.
+    pub fn feature_width(&self, store: &ParamStore) -> usize {
+        store.value(self.w2).rows()
+    }
+
+    /// Duplicate probabilities of many pairs, rayon-parallel, and their
+    /// feature vectors packed `[pairs.len(), feature_width]` — each pair
+    /// bitwise [`Matcher::prob_and_feature`]'s. Workers take
+    /// [`SCORE_CHUNK`] pairs at a time on one scratch.
+    pub fn score_batch(
         &self,
         store: &ParamStore,
         model: &Tplm,
         vocab: &Vocab,
         pairs: &[(&Record, &Record)],
-    ) -> Vec<f32> {
-        pairs.par_iter().map(|(r, s)| self.prob(store, model, vocab, r, s)).collect()
+    ) -> (Vec<f32>, Vec<f32>) {
+        let (width, max_len) = (self.feature_width(store), model.config().max_len);
+        let (probs, feats): (Vec<Vec<f32>>, Vec<Vec<f32>>) = pairs
+            .par_chunks(SCORE_CHUNK)
+            .map(|chunk| {
+                let mut scratch = EncodeScratch::default();
+                let mut feats = vec![0.0; chunk.len() * width];
+                let probs = chunk
+                    .iter()
+                    .zip(feats.chunks_exact_mut(width))
+                    .map(|((r, s), feature)| {
+                        let ids = paired_mode_ids(r, s, vocab, max_len);
+                        self.score_ids(store, model, &ids, &mut scratch, feature)
+                    })
+                    .collect();
+                (probs, feats)
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .unzip();
+        (probs.concat(), feats.concat())
+    }
+
+    /// The forward of [`Matcher::logit_and_hidden`] at `train = false`
+    /// without a tape: the head activation into `feature`
+    /// ([`Matcher::feature_width`] floats), the probability returned. Same
+    /// kernel calls in the same order, so both are bitwise the tape's.
+    fn score_ids(
+        &self,
+        store: &ParamStore,
+        model: &Tplm,
+        ids: &[TokenId],
+        scratch: &mut EncodeScratch,
+        feature: &mut [f32],
+    ) -> f32 {
+        let d = model.config().d_model;
+        let w = |id: ParamId| store.value(id).as_slice();
+        let ctx = model.encode_into(store, ids, scratch);
+        let (span_r, span_s) = segment_spans(ids);
+        let (ctx_r, ctx_s) =
+            (&ctx[span_r.start * d..span_r.end * d], &ctx[span_s.start * d..span_s.end * d]);
+
+        // [cls; mean_r; mean_s; |mean_r − mean_s|]
+        let mut feat = vec![0.0; 4 * d];
+        let (cls, rest) = feat.split_at_mut(d);
+        let (mean_r, rest) = rest.split_at_mut(d);
+        let (mean_s, diff) = rest.split_at_mut(d);
+        cls.copy_from_slice(&ctx[..d]);
+        kernels::mean_rows(ctx_r, mean_r);
+        kernels::mean_rows(ctx_s, mean_s);
+        for ((o, a), b) in diff.iter_mut().zip(&*mean_r).zip(&*mean_s) {
+            *o = (a - b).abs();
+        }
+
+        let (hidden, cov) = feature.split_at_mut(d);
+        kernels::matmul(&feat, w(self.w1), 1, 4 * d, d, hidden);
+        kernels::add_row(hidden, w(self.b1));
+        kernels::tanh_slice(hidden);
+        cov.copy_from_slice(&coverage_block(
+            store.value(model.token_embedding_param()),
+            (&ids[span_r], ctx_r),
+            (&ids[span_s], ctx_s),
+        ));
+        let mut logit = [0.0];
+        kernels::matmul(feature, w(self.w2), 1, feature.len(), 1, &mut logit);
+        kernels::add_row(&mut logit, w(self.b2));
+        sigmoid(logit[0])
     }
 
     /// Fine-tune trunk + head on `labeled` pairs (Eq. 6). Returns the mean
@@ -336,8 +379,64 @@ impl Matcher {
     }
 }
 
+/// Token positions of the two records in a paired sequence: between CLS
+/// and the middle SEP (the first after CLS), and between it and the
+/// closing SEP.
+fn segment_spans(ids: &[TokenId]) -> (Range<usize>, Range<usize>) {
+    let n = ids.len();
+    let boundary =
+        ids.iter().position(|&t| t == Vocab::SEP).expect("paired input must contain a separator");
+    (1..boundary.max(2), (boundary + 1).min(n - 1)..n - 1)
+}
+
 /// Width of the crisp hash-identity embeddings.
 const CRISP_DIM: usize = 16;
+
+/// The head's coverage block, from one side's `(token ids, contextual
+/// rows)` and the other's — the one definition under training and
+/// inference.
+///
+/// Bidirectional soft-containment at two sharpness scales, over both the
+/// *contextual* embeddings and the raw token embeddings (where token
+/// identity is crisp): for each token on one side, the log-sum-exp of
+/// negated scaled distances to the other side ≈ its best alignment.
+/// Duplicates are covered both ways; near-duplicates leave decisive tokens
+/// unmatched. RoBERTa learns this comparison internally; the mini model
+/// gets it as an explicit feature block wired straight into the output
+/// layer (DESIGN.md §2).
+fn coverage_block(
+    tok_table: &Matrix,
+    r: (&[TokenId], &[f32]),
+    s: (&[TokenId], &[f32]),
+) -> [f32; 8] {
+    let d = tok_table.cols();
+    let ((ids_r, ctx_r), (ids_s, ctx_s)) = (r, s);
+    // Crisp identity embeddings: fixed hash-random vectors per token id.
+    // Coverage over these is a smooth token-Jaccard, unaffected by how
+    // much pre-training contracts the semantic space.
+    let (crisp_r, crisp_s) =
+        (pack_rows(ids_r, CRISP_DIM, crisp_row), pack_rows(ids_s, CRISP_DIM, crisp_row));
+    let tok_row = |t: TokenId, row: &mut [f32]| row.copy_from_slice(tok_table.row(t as usize));
+    let (tok_r, tok_s) = (pack_rows(ids_r, d, tok_row), pack_rows(ids_s, d, tok_row));
+    let mut cov = [0.0; 8];
+    for (slot, (a, b, dim)) in
+        [(&crisp_r[..], &crisp_s[..], CRISP_DIM), (ctx_r, ctx_s, d), (&tok_r[..], &tok_s[..], d)]
+            .into_iter()
+            .enumerate()
+    {
+        // One distance matrix serves both directions: `(x − y)²` and
+        // `(y − x)²` are the same bits, so the transpose is exactly
+        // what scoring `b` against `a` pair by pair would give.
+        let dists = pair_sq_dists(a, b, dim);
+        let tau = dim as f32 / 8.0;
+        cov[2 * slot] = 0.25 * coverage(&dists, tau);
+        cov[2 * slot + 1] = 0.25 * coverage(&dists.transpose(), tau);
+    }
+    // Plus a hard token-Jaccard scalar for good measure; `cov[7]` is
+    // reserved.
+    cov[6] = hard_jaccard(ids_r, ids_s);
+    cov
+}
 
 /// One `dim`-wide row per token, packed row-major; `fill` writes a row.
 fn pack_rows(ids: &[TokenId], dim: usize, fill: impl Fn(TokenId, &mut [f32])) -> Vec<f32> {
@@ -464,12 +563,20 @@ mod tests {
     }
 
     #[test]
-    fn probs_batch_matches_single() {
+    fn score_batch_matches_single() {
         let (store, model, matcher, vocab, r, s) = setup();
-        let pairs: Vec<(&Record, &Record)> = vec![(r.get(0), s.get(0)), (r.get(1), s.get(2))];
-        let batch = matcher.probs_batch(&store, &model, &vocab, &pairs);
-        assert_eq!(batch.len(), 2);
-        assert!((batch[0] - matcher.prob(&store, &model, &vocab, r.get(0), s.get(0))).abs() < 1e-6);
+        // More pairs than one chunk, so a scratch is reused and a second
+        // chunk starts fresh.
+        let pairs: Vec<(&Record, &Record)> =
+            (0..SCORE_CHUNK as u32 + 5).map(|i| (r.get(i % 8), s.get(i * 3 % 8))).collect();
+        let (probs, feats) = matcher.score_batch(&store, &model, &vocab, &pairs);
+        assert_eq!(probs.len(), pairs.len());
+        let width = matcher.feature_width(&store);
+        for (i, (r, s)) in pairs.iter().enumerate() {
+            let (p, f) = matcher.prob_and_feature(&store, &model, &vocab, r, s);
+            assert_eq!(probs[i].to_bits(), p.to_bits(), "pair {i}");
+            assert_eq!(&feats[i * width..(i + 1) * width], &f[..], "pair {i}");
+        }
     }
 
     #[test]

@@ -27,6 +27,18 @@ pub struct SelectionInputs<'a> {
     pub budget: usize,
 }
 
+/// Whether `strategy` reads [`SelectionInputs::feats`]; the others accept
+/// an empty slice there.
+pub fn reads_feats(strategy: SelectionStrategy) -> bool {
+    matches!(strategy, SelectionStrategy::Qbc | SelectionStrategy::Badge)
+}
+
+/// Whether `strategy` reads [`SelectionInputs::labeled_feats`]; the others
+/// accept an empty slice there.
+pub fn reads_labeled_feats(strategy: SelectionStrategy) -> bool {
+    strategy == SelectionStrategy::Qbc
+}
+
 /// Binary entropy of a probability (Eq. 4), in nats.
 pub fn entropy(p: f32) -> f32 {
     let p = p.clamp(1e-7, 1.0 - 1e-7);
@@ -266,6 +278,37 @@ mod tests {
             assert!(out.iter().all(|p| !excl.contains(p)), "{strat:?} selected an excluded pair");
             assert!(out.len() <= 4);
         }
+    }
+
+    #[test]
+    fn strategies_that_read_no_features_select_the_same_without_them() {
+        let (cands, probs, feats) = toy();
+        let excl: HashSet<(u32, u32)> = [(3, 3)].into_iter().collect();
+        let labeled: Vec<(Vec<f32>, bool)> =
+            (0..6).map(|i| (vec![i as f32, -(i as f32)], i % 2 == 0)).collect();
+        for strat in [
+            SelectionStrategy::Random,
+            SelectionStrategy::Greedy,
+            SelectionStrategy::Uncertainty,
+            SelectionStrategy::Partition2,
+            SelectionStrategy::Partition4,
+        ] {
+            assert!(!reads_feats(strat) && !reads_labeled_feats(strat));
+            let with = make_inputs(&cands, &probs, &feats, &labeled, &excl, 4);
+            let without = make_inputs(&cands, &probs, &[], &[], &excl, 4);
+            let pick = |inputs| select(strat, inputs, &mut StdRng::seed_from_u64(9));
+            assert_eq!(pick(&with), pick(&without), "{strat:?}");
+            assert!(!pick(&without).is_empty());
+        }
+        // BADGE reads candidate features only; QBC both.
+        assert!(reads_feats(SelectionStrategy::Badge));
+        assert!(!reads_labeled_feats(SelectionStrategy::Badge));
+        assert!(reads_feats(SelectionStrategy::Qbc) && reads_labeled_feats(SelectionStrategy::Qbc));
+        let badge = |labeled| {
+            let inputs = make_inputs(&cands, &probs, &feats, labeled, &excl, 3);
+            select(SelectionStrategy::Badge, &inputs, &mut StdRng::seed_from_u64(9))
+        };
+        assert_eq!(badge(&labeled[..]), badge(&[]));
     }
 
     #[test]

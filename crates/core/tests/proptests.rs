@@ -175,3 +175,80 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn graph_free_scoring_matches_the_tape_bitwise(
+        seed in 0u64..1000,
+        // Words per record, after the fixed 0 (a segment with no token), 1
+        // and 30 (any pair with it overflows `max_len` and is truncated).
+        sizes in proptest::collection::vec(0usize..16, 7),
+        words in proptest::collection::vec(0usize..40, 64),
+    ) {
+        use dial_core::{DialConfig, Matcher};
+        use dial_datasets::LabeledPair;
+        use dial_tensor::{sigmoid, Graph, ParamStore};
+        use dial_text::{paired_mode_ids, Record, RecordList, Schema, Vocab};
+        use dial_tplm::{Tplm, TplmConfig};
+
+        // The oracle: `logit_and_hidden` on a tape with `train = false`.
+        // The paths under test — `prob`, `prob_and_feature` (a fresh
+        // scratch per call) and `score_batch` (one scratch across a chunk
+        // of pairs of different lengths) — must reproduce the probability
+        // and every float of the feature vector.
+        let tplm = TplmConfig { n_layers: 2, dropout: 0.1, seed, ..TplmConfig::tiny() };
+        let mut store = ParamStore::new();
+        let model = Tplm::new(tplm, &mut store);
+        let matcher = Matcher::new(&mut store, &model);
+        let vocab = Vocab::new(64);
+        let schema = Schema::new(vec!["t"]);
+        let (mut r, mut s) = (RecordList::new(schema.clone()), RecordList::new(schema));
+        let sizes: Vec<usize> = [0, 1, 30].into_iter().chain(sizes).collect();
+        let word = |k: usize| format!("{}{}", (b'a' + (k % 26) as u8) as char, (b'a' + (k / 26) as u8) as char);
+        for (i, &n) in sizes.iter().enumerate() {
+            let text = |salt: usize| {
+                (0..n).map(|j| word(words[(i * 5 + j + salt) % 64])).collect::<Vec<_>>().join(" ")
+            };
+            r.push(vec![text(0)]);
+            s.push(vec![text(i % 3)]);
+        }
+        let n = sizes.len() as u32;
+        let labeled: Vec<LabeledPair> =
+            (0..n).map(|i| LabeledPair::new(i, (i + i % 2) % n, i % 2 == 0)).collect();
+        let cfg = DialConfig { tplm, matcher_epochs: 2, batch_size: 4, seed, ..DialConfig::smoke() };
+        matcher.train(&mut store, &model, &vocab, &r, &s, &labeled, &cfg, 0);
+
+        let mut order: Vec<(u32, u32)> = (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        use rand::seq::SliceRandom;
+        order.shuffle(&mut rng);
+        let pairs: Vec<(&Record, &Record)> = order.iter().map(|&(i, j)| (r.get(i), s.get(j))).collect();
+        let (probs, feats) = matcher.score_batch(&store, &model, &vocab, &pairs);
+        let width = matcher.feature_width(&store);
+        prop_assert_eq!(probs.len(), pairs.len());
+        prop_assert_eq!(feats.len(), pairs.len() * width);
+
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut lengths = HashSet::new();
+        for (i, (rec_r, rec_s)) in pairs.iter().enumerate() {
+            let ids = paired_mode_ids(rec_r, rec_s, &vocab, tplm.max_len);
+            lengths.insert(ids.len());
+            let mut g = Graph::new();
+            let (z, h) = matcher.logit_and_hidden(&mut g, &store, &model, &ids, false, &mut rng);
+            let (want_p, want_f) = (sigmoid(g.value(z).item()), g.value(h).as_slice());
+
+            prop_assert_eq!(probs[i].to_bits(), want_p.to_bits(), "score_batch prob, {} tokens", ids.len());
+            prop_assert_eq!(bits(&feats[i * width..(i + 1) * width]), bits(want_f), "score_batch feature");
+            let (p, f) = matcher.prob_and_feature(&store, &model, &vocab, rec_r, rec_s);
+            prop_assert_eq!(p.to_bits(), want_p.to_bits(), "prob_and_feature prob");
+            prop_assert_eq!(bits(&f), bits(want_f), "prob_and_feature feature");
+            prop_assert_eq!(matcher.prob(&store, &model, &vocab, rec_r, rec_s).to_bits(), want_p.to_bits());
+        }
+        prop_assert!(
+            lengths.contains(&3) && lengths.contains(&4) && lengths.contains(&tplm.max_len),
+            "lengths {:?}", lengths
+        );
+    }
+}

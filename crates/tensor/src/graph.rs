@@ -204,12 +204,7 @@ impl Graph {
         assert_eq!(vb.rows(), 1, "add_row bias must be a row vector");
         assert_eq!(va.cols(), vb.cols(), "add_row width mismatch");
         let mut v = va.clone();
-        let b = vb.as_slice().to_vec();
-        for r in 0..v.rows() {
-            for (x, bv) in v.row_mut(r).iter_mut().zip(&b) {
-                *x += bv;
-            }
-        }
+        kernels::add_row(v.as_mut_slice(), vb.as_slice());
         self.push(Op::AddRow(a, bias), v)
     }
 
@@ -301,15 +296,7 @@ impl Graph {
         assert_eq!(vg.shape(), (1, vx.cols()), "layer_norm gain shape");
         assert_eq!(vb.shape(), (1, vx.cols()), "layer_norm bias shape");
         let mut v = vx.clone();
-        let g = vg.as_slice().to_vec();
-        let b = vb.as_slice().to_vec();
-        for r in 0..v.rows() {
-            let row = v.row_mut(r);
-            let (mean, inv_std) = row_moments(row);
-            for (i, x) in row.iter_mut().enumerate() {
-                *x = (*x - mean) * inv_std * g[i] + b[i];
-            }
-        }
+        kernels::layer_norm_rows(v.as_mut_slice(), vg.as_slice(), vb.as_slice());
         self.push(Op::LayerNorm { x, gain, bias }, v)
     }
 
@@ -317,13 +304,8 @@ impl Graph {
 
     pub fn mean_rows(&mut self, a: Var) -> Var {
         let va = self.value(a);
-        let n = va.rows() as f32;
         let mut out = Matrix::zeros(1, va.cols());
-        for r in 0..va.rows() {
-            for (o, x) in out.row_mut(0).iter_mut().zip(va.row(r)) {
-                *o += x / n;
-            }
-        }
+        kernels::mean_rows(va.as_slice(), out.as_mut_slice());
         self.push(Op::MeanRows(a), out)
     }
 
@@ -661,7 +643,7 @@ impl Graph {
                 let mut dbias = Matrix::zeros(1, vx.cols());
                 for r in 0..vx.rows() {
                     let row = vx.row(r);
-                    let (mean, inv_std) = row_moments(row);
+                    let (mean, inv_std) = kernels::row_moments(row);
                     let xhat: Vec<f32> = row.iter().map(|&v| (v - mean) * inv_std).collect();
                     let gr = g.row(r);
                     // Parameter grads.
@@ -847,14 +829,6 @@ fn acc(grads: &mut [Option<Matrix>], v: Var, delta: Matrix) {
 fn gelu_grad(x: f32, t: f32) -> f32 {
     let du = kernels::GELU_C * (1.0 + 3.0 * kernels::GELU_K * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-}
-
-fn row_moments(row: &[f32]) -> (f32, f32) {
-    const LN_EPS: f32 = 1e-5;
-    let n = row.len() as f32;
-    let mean = row.iter().sum::<f32>() / n;
-    let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / n;
-    (mean, 1.0 / (var + LN_EPS).sqrt())
 }
 
 #[cfg(test)]

@@ -21,6 +21,10 @@
 //! dispatch and the same bitwise contract. Definitions, error bounds and
 //! the reduction lane order are in that file's module docs.
 //!
+//! The row-wise ops between those — bias add, residual add, LayerNorm,
+//! mean-pool — are the `rows` submodule, also re-exported: one definition
+//! each, called by `Graph`'s ops and by `dial-tplm`'s graph-free forward.
+//!
 //! # Determinism contract
 //!
 //! The AVX2 paths are **bitwise equal** to the scalar loops, not merely
@@ -66,12 +70,14 @@
 //!   so eight pairs `(i, j..j+8)` advance together, each lane running
 //!   [`sq_dist`]'s serial `s += d·d` chain.
 
+mod rows;
 mod transcendental;
 
+pub use rows::{add_assign, add_row, layer_norm_rows, mean_rows, row_moments, scale};
 pub use transcendental::{
-    exp, exp_slice, exp_slice_scalar, gelu, gelu_scalar, logsumexp, logsumexp_scalar, sigmoid,
-    sigmoid_slice, sigmoid_slice_scalar, softmax_rows, softmax_rows_scalar, tanh, tanh_slice,
-    tanh_slice_scalar, TANH_CROSSOVER,
+    exp, exp_slice, exp_slice_scalar, gelu, gelu_in_place, gelu_scalar, logsumexp,
+    logsumexp_scalar, sigmoid, sigmoid_slice, sigmoid_slice_scalar, softmax_rows,
+    softmax_rows_scalar, tanh, tanh_slice, tanh_slice_scalar, TANH_CROSSOVER,
 };
 pub(crate) use transcendental::{GELU_C, GELU_K};
 

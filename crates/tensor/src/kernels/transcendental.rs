@@ -48,7 +48,10 @@
 //! Reductions ([`softmax_rows`], [`logsumexp`]) fix one lane order for
 //! both bodies: lane `l` of eight folds elements `8c + l`, the lanes
 //! reduce as `((l0⊕l4)⊕(l2⊕l6)) ⊕ ((l1⊕l5)⊕(l3⊕l7))`, then the `len % 8`
-//! tail folds in order.
+//! tail folds in order. The AVX2 body computes the tail's exponentials in
+//! one more eight-lane `exp` over a zero-padded load and folds only the
+//! real lanes, in index order: the same operations per element, so a
+//! 39-wide attention row costs what a 40-wide one does.
 
 #[cfg(target_arch = "x86_64")]
 use dial_simd::{simd_level, SimdLevel};
@@ -154,19 +157,15 @@ fn finish_max(l: [f32; 8], tail: &[f32]) -> f32 {
     tail.iter().fold(m, |m, &v| max_sel(m, v))
 }
 
-/// Eight sum lanes, then `Σ exp(src − m)` over the tail in order, writing
-/// the tail's exponentials to `dst` when there is one.
+/// Eight sum lanes, then the tail's exponentials `tail` in order, written
+/// to `dst` when there is one.
 #[inline]
-fn finish_exp_sum(l: [f32; 8], src: &[f32], m: f32, mut dst: Option<&mut [f32]>) -> f32 {
-    let mut s = ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
-    for (i, &v) in src.iter().enumerate() {
-        let e = exp(v - m);
-        if let Some(d) = dst.as_deref_mut() {
-            d[i] = e;
-        }
-        s += e;
+fn finish_exp_sum(l: [f32; 8], tail: &[f32], dst: Option<&mut [f32]>) -> f32 {
+    if let Some(d) = dst {
+        d.copy_from_slice(tail);
     }
-    s
+    let s = ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
+    tail.iter().fold(s, |s, &e| s + e)
 }
 
 fn row_max_scalar(row: &[f32]) -> f32 {
@@ -196,7 +195,11 @@ fn exp_sum_scalar(src: &[f32], m: f32, mut dst: Option<&mut [f32]>) -> f32 {
             d[8 * c..8 * c + 8].copy_from_slice(&e);
         }
     }
-    finish_exp_sum(lanes, &src[body..], m, dst.map(|d| &mut d[body..]))
+    let mut e = [0.0f32; 8];
+    for (e, &v) in e.iter_mut().zip(&src[body..]) {
+        *e = exp(v - m);
+    }
+    finish_exp_sum(lanes, &e[..src.len() - body], dst.map(|d| &mut d[body..]))
 }
 
 // ---- dispatched entry points ------------------------------------------------
@@ -267,6 +270,17 @@ pub fn gelu_scalar(x: &[f32], out: &mut [f32], tanh_out: &mut [f32]) {
     for ((&x, o), t) in x.iter().zip(out).zip(tanh_out) {
         (*o, *t) = gelu1(x);
     }
+}
+
+/// [`gelu`] overwriting its input and keeping no `tanh`: the forward-only
+/// form, bitwise [`gelu`]'s `out`.
+pub fn gelu_in_place(xs: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if simd_level() == SimdLevel::Avx2 {
+        // SAFETY: `simd_level` reports Avx2 only when the CPU has it.
+        return unsafe { avx2::gelu_in_place(xs) };
+    }
+    xs.iter_mut().for_each(|x| *x = gelu1(*x).0)
 }
 
 /// Numerically stable softmax of every `cols`-wide row of `x` into `out`:
@@ -398,28 +412,39 @@ mod avx2 {
         map_in_place(xs, |v| sigmoid8(v), sigmoid)
     }
 
+    /// [`super::gelu1`] on eight lanes: `(gelu(v), t)`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn gelu8(v: __m256) -> (__m256, __m256) {
+        let (half, one) = (_mm256_set1_ps(0.5), _mm256_set1_ps(1.0));
+        let (c, k) = (_mm256_set1_ps(GELU_C), _mm256_set1_ps(GELU_K));
+        let cube = _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(k, v), v), v);
+        let t = tanh8(_mm256_mul_ps(c, _mm256_add_ps(v, cube)));
+        (_mm256_mul_ps(_mm256_mul_ps(half, v), _mm256_add_ps(one, t)), t)
+    }
+
     #[target_feature(enable = "avx2")]
     pub(super) fn gelu(x: &[f32], out: &mut [f32], tanh_out: &mut [f32]) {
         // Bounds of the raw stores below.
         assert_eq!(out.len(), x.len());
         assert_eq!(tanh_out.len(), x.len());
         let body = x.len() - x.len() % 8;
-        let (half, one) = (_mm256_set1_ps(0.5), _mm256_set1_ps(1.0));
-        let (c, k) = (_mm256_set1_ps(GELU_C), _mm256_set1_ps(GELU_K));
         for i in (0..body).step_by(8) {
             debug_assert!(i + 8 <= x.len());
             // SAFETY: `i + 8 <= body <= x.len()`, and `out` and `tanh_out`
             // have `x`'s length (asserted above).
             unsafe {
-                let v = _mm256_loadu_ps(x.as_ptr().add(i));
-                let cube = _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(k, v), v), v);
-                let t = tanh8(_mm256_mul_ps(c, _mm256_add_ps(v, cube)));
-                let y = _mm256_mul_ps(_mm256_mul_ps(half, v), _mm256_add_ps(one, t));
+                let (y, t) = gelu8(_mm256_loadu_ps(x.as_ptr().add(i)));
                 _mm256_storeu_ps(out.as_mut_ptr().add(i), y);
                 _mm256_storeu_ps(tanh_out.as_mut_ptr().add(i), t);
             }
         }
         gelu_scalar(&x[body..], &mut out[body..], &mut tanh_out[body..]);
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn gelu_in_place(xs: &mut [f32]) {
+        map_in_place(xs, |v| gelu8(v).0, |x| gelu1(x).0)
     }
 
     #[inline]
@@ -464,7 +489,16 @@ mod avx2 {
             }
             acc = _mm256_add_ps(acc, e);
         }
-        finish_exp_sum(lanes(acc), &src[body..], m, dst.map(|d| &mut d[body..]))
+        // The tail rides one more `exp8`, zero-padded; the padding lanes
+        // are computed and dropped.
+        let tail = &src[body..];
+        let mut e = [0.0f32; 8];
+        if !tail.is_empty() {
+            e[..tail.len()].copy_from_slice(tail);
+            // SAFETY: `e` is eight floats.
+            e = lanes(exp8(_mm256_sub_ps(unsafe { _mm256_loadu_ps(e.as_ptr()) }, mv)));
+        }
+        finish_exp_sum(lanes(acc), &e[..tail.len()], dst.map(|d| &mut d[body..]))
     }
 
     #[target_feature(enable = "avx2")]

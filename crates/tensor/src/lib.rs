@@ -9,7 +9,9 @@
 //!   distances) as register-tiled AVX2 code, and `exp`/`tanh` as in-repo
 //!   definitions with the GELU / softmax / log-sum-exp / sigmoid slice
 //!   kernels built on them; all picked at runtime, with the scalar bodies
-//!   kept as fallback and parity oracle;
+//!   kept as fallback and parity oracle; plus the row ops (bias add,
+//!   LayerNorm, mean-pool) the tape and `dial-tplm`'s graph-free forward
+//!   share;
 //! * [`ParamStore`] / [`ParamId`] — named trainable parameters with gradient
 //!   buffers, freezing, snapshot/restore (used to reset the matcher to its
 //!   pre-trained weights each active-learning round); values are shared

@@ -195,9 +195,7 @@ impl Matrix {
     /// Element-wise in-place addition.
     pub fn add_assign(&mut self, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "add_assign shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
+        kernels::add_assign(&mut self.data, &other.data);
     }
 
     /// In-place `self += alpha * other`.
@@ -210,9 +208,7 @@ impl Matrix {
 
     /// In-place multiply by a scalar.
     pub fn scale(&mut self, alpha: f32) {
-        for a in &mut self.data {
-            *a *= alpha;
-        }
+        kernels::scale(&mut self.data, alpha);
     }
 
     /// Set every element to zero, keeping the allocation.

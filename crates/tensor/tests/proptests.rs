@@ -351,6 +351,10 @@ proptest! {
             kernels::gelu_scalar(x, &mut slow.0, &mut slow.1);
             assert_same_bits(&fast.0, &slow.0, &format!("gelu len {len} offset {off}"));
             assert_same_bits(&fast.1, &slow.1, &format!("gelu tanh len {len} offset {off}"));
+            // The forward-only form is `gelu`'s `out`.
+            let mut in_place = x.to_vec();
+            kernels::gelu_in_place(&mut in_place);
+            assert_same_bits(&in_place, &slow.0, &format!("gelu_in_place len {len} offset {off}"));
         });
     }
 

@@ -14,6 +14,11 @@
 //! distributional token semantics via skip-gram negative sampling and can
 //! simulate multilingual BERT's noisy cross-lingual alignment.
 //!
+//! Training runs the encoder on a `dial_tensor::Graph` tape
+//! ([`Tplm::encode`]); everything that is not differentiated — list
+//! encoding, candidate scoring — runs the same kernel calls graph-free into
+//! a reusable [`EncodeScratch`] ([`Tplm::encode_into`]), bitwise equal.
+//!
 //! Trunk parameters are registered under the [`TRUNK_PREFIX`] name prefix so
 //! callers can freeze the trunk (blocker) or give it a smaller learning rate
 //! (matcher), and snapshot/restore it between active-learning rounds.
@@ -23,5 +28,5 @@ pub mod model;
 pub mod pretrain;
 
 pub use config::TplmConfig;
-pub use model::{Tplm, TRUNK_PREFIX};
+pub use model::{EncodeScratch, Tplm, TRUNK_PREFIX};
 pub use pretrain::{inject_alignment, pretrain_sgns, row_cosine, PretrainConfig};

@@ -17,7 +17,7 @@
 //! implements the paper's per-round reset to pre-trained weights.
 
 use crate::config::TplmConfig;
-use dial_tensor::{init, Graph, Matrix, ParamId, ParamStore, Var};
+use dial_tensor::{init, kernels, Graph, Matrix, ParamId, ParamStore, Var};
 use dial_text::TokenId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,6 +47,36 @@ pub struct Tplm {
     tok_emb: ParamId,
     pos_emb: ParamId,
     layers: Vec<LayerParams>,
+}
+
+/// Buffers of the graph-free forward ([`Tplm::encode_into`]): sized on
+/// first use, then reused across sequences of any length. `x` (`[n, d]`)
+/// holds the running activations and the output; `q`, `k`, `v` the
+/// projections, `q` then each sub-layer's output; `qh`, `kh`, `vh`
+/// (`[n, d_head]`) one head's contiguous slices, `qh` then its output;
+/// `scores` and `attn` (`[n, n]`) its scores and their softmax; `concat`
+/// the heads' outputs side by side; `ffn` is `[n, d_ff]`.
+#[derive(Debug, Default)]
+pub struct EncodeScratch {
+    x: Vec<f32>,
+    q: Vec<f32>,
+    k: Vec<f32>,
+    v: Vec<f32>,
+    qh: Vec<f32>,
+    kh: Vec<f32>,
+    vh: Vec<f32>,
+    scores: Vec<f32>,
+    attn: Vec<f32>,
+    concat: Vec<f32>,
+    ffn: Vec<f32>,
+}
+
+/// Columns `lo..lo + w` of every `cols`-wide row of `src`, packed into
+/// `dst` (`[n, w]`).
+fn copy_cols(src: &[f32], cols: usize, lo: usize, dst: &mut [f32], w: usize) {
+    for (d, s) in dst.chunks_exact_mut(w).zip(src.chunks_exact(cols)) {
+        d.copy_from_slice(&s[lo..lo + w]);
+    }
 }
 
 /// Parameter-name prefix for all trunk weights. The matcher's AdamW uses it
@@ -124,7 +154,19 @@ impl Tplm {
         store.set_frozen_by_prefix(TRUNK_PREFIX, frozen);
     }
 
-    /// Encode a token sequence to contextual embeddings `[n, d]`.
+    fn check_len(&self, ids: &[TokenId]) {
+        assert!(!ids.is_empty(), "cannot encode an empty sequence");
+        assert!(
+            ids.len() <= self.config.max_len,
+            "sequence length {} exceeds max_len {}",
+            ids.len(),
+            self.config.max_len
+        );
+    }
+
+    /// Encode a token sequence to contextual embeddings `[n, d]` on the
+    /// tape — what training differentiates, and the bitwise oracle of
+    /// [`Tplm::encode_into`].
     ///
     /// `dropout > 0` requires `rng`; pass `0.0` for inference.
     pub fn encode(
@@ -135,13 +177,7 @@ impl Tplm {
         dropout: f32,
         rng: &mut StdRng,
     ) -> Var {
-        assert!(!ids.is_empty(), "cannot encode an empty sequence");
-        assert!(
-            ids.len() <= self.config.max_len,
-            "sequence length {} exceeds max_len {}",
-            ids.len(),
-            self.config.max_len
-        );
+        self.check_len(ids);
         let n = ids.len();
         let tok = g.gather(store, self.tok_emb, ids);
         let positions: Vec<u32> = (0..n as u32).collect();
@@ -211,26 +247,92 @@ impl Tplm {
         g.mean_rows(ctx)
     }
 
-    /// Paired-mode embedding `E(r, s)`: the contextual embedding of the
-    /// `[CLS]` token (paper §2.2.1), shape `[1, d]`.
-    pub fn encode_paired_cls(
+    /// [`Tplm::encode`] at `dropout = 0` without a tape: the contextual
+    /// embeddings `[n, d]`, computed in `scratch` and borrowed from it.
+    ///
+    /// Issues the kernel calls `encode` issues, in its order, on buffers
+    /// instead of graph nodes, so the result is bitwise `encode`'s. Nothing
+    /// is kept for a backward pass.
+    pub fn encode_into<'s>(
         &self,
-        g: &mut Graph,
         store: &ParamStore,
         ids: &[TokenId],
-        dropout: f32,
-        rng: &mut StdRng,
-    ) -> Var {
-        let ctx = self.encode(g, store, ids, dropout, rng);
-        g.slice_rows(ctx, 0, 1)
+        scratch: &'s mut EncodeScratch,
+    ) -> &'s [f32] {
+        self.check_len(ids);
+        let (n, d, dh, d_ff) =
+            (ids.len(), self.config.d_model, self.config.d_head(), self.config.d_ff);
+        let s = scratch;
+        let (tok, pos) = (store.value(self.tok_emb), store.value(self.pos_emb));
+        s.x.clear();
+        for (p, &id) in ids.iter().enumerate() {
+            s.x.extend(tok.row(id as usize).iter().zip(pos.row(p)).map(|(t, p)| t + p));
+        }
+        for buf in [&mut s.q, &mut s.k, &mut s.v, &mut s.concat] {
+            buf.resize(n * d, 0.0);
+        }
+        for buf in [&mut s.qh, &mut s.kh, &mut s.vh] {
+            buf.resize(n * dh, 0.0);
+        }
+        for buf in [&mut s.scores, &mut s.attn] {
+            buf.resize(n * n, 0.0);
+        }
+        s.ffn.resize(n * d_ff, 0.0);
+
+        let w = |id: ParamId| store.value(id).as_slice();
+        let scale = 1.0 / (dh as f32).sqrt();
+        for layer in &self.layers {
+            // ---- multi-head self-attention ----
+            kernels::matmul(&s.x, w(layer.wq), n, d, d, &mut s.q);
+            kernels::matmul(&s.x, w(layer.wk), n, d, d, &mut s.k);
+            kernels::matmul(&s.x, w(layer.wv), n, d, d, &mut s.v);
+            for lo in (0..d).step_by(dh) {
+                copy_cols(&s.q, d, lo, &mut s.qh, dh);
+                copy_cols(&s.k, d, lo, &mut s.kh, dh);
+                copy_cols(&s.v, d, lo, &mut s.vh, dh);
+                kernels::matmul_t(&s.qh, &s.kh, n, n, dh, &mut s.scores);
+                kernels::scale(&mut s.scores, scale);
+                kernels::softmax_rows(&s.scores, n, &mut s.attn);
+                kernels::matmul(&s.attn, &s.vh, n, n, dh, &mut s.qh);
+                for (row, head) in s.concat.chunks_exact_mut(d).zip(s.qh.chunks_exact(dh)) {
+                    row[lo..lo + dh].copy_from_slice(head);
+                }
+            }
+            kernels::matmul(&s.concat, w(layer.wo), n, d, d, &mut s.q);
+            kernels::add_row(&mut s.q, w(layer.bo));
+            kernels::add_assign(&mut s.x, &s.q);
+            kernels::layer_norm_rows(&mut s.x, w(layer.ln1_gain), w(layer.ln1_bias));
+
+            // ---- feed-forward ----
+            kernels::matmul(&s.x, w(layer.ff_w1), n, d, d_ff, &mut s.ffn);
+            kernels::add_row(&mut s.ffn, w(layer.ff_b1));
+            kernels::gelu_in_place(&mut s.ffn);
+            kernels::matmul(&s.ffn, w(layer.ff_w2), n, d_ff, d, &mut s.q);
+            kernels::add_row(&mut s.q, w(layer.ff_b2));
+            kernels::add_assign(&mut s.x, &s.q);
+            kernels::layer_norm_rows(&mut s.x, w(layer.ln2_gain), w(layer.ln2_bias));
+        }
+        &s.x
     }
 
-    /// Inference-only single-mode embedding as a plain vector (no graph kept).
+    /// Inference-only single-mode embedding `E(x)` into `out` (`d` floats),
+    /// graph-free; `scratch` is reusable across calls.
+    pub fn embed_single_into(
+        &self,
+        store: &ParamStore,
+        ids: &[TokenId],
+        scratch: &mut EncodeScratch,
+        out: &mut [f32],
+    ) {
+        assert_eq!(out.len(), self.config.d_model, "embed_single_into: output width");
+        kernels::mean_rows(self.encode_into(store, ids, scratch), out);
+    }
+
+    /// Inference-only single-mode embedding as a plain vector.
     pub fn embed_single(&self, store: &ParamStore, ids: &[TokenId]) -> Vec<f32> {
-        let mut g = Graph::new();
-        let mut rng = StdRng::seed_from_u64(0);
-        let e = self.encode_single(&mut g, store, ids, 0.0, &mut rng);
-        g.value(e).as_slice().to_vec()
+        let mut out = vec![0.0; self.config.d_model];
+        self.embed_single_into(store, ids, &mut EncodeScratch::default(), &mut out);
+        out
     }
 }
 
