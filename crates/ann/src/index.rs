@@ -20,6 +20,28 @@ use crate::topk::Hit;
 use crate::transport::ShardStatsSnapshot;
 use std::path::Path;
 
+/// A retunable search width — the one recall/latency dial a knobbed
+/// family exposes after build, addressed uniformly so the auto-tuner,
+/// the serving layer, the shard composite and the wire protocol need one
+/// get/set pair instead of one per family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Knob {
+    /// IVF probe width (`nprobe`).
+    Nprobe,
+    /// HNSW beam width (`ef_search`).
+    EfSearch,
+}
+
+impl Knob {
+    /// Stable name for reports: `"nprobe"` or `"ef_search"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Knob::Nprobe => "nprobe",
+            Knob::EfSearch => "ef_search",
+        }
+    }
+}
+
 /// A built nearest-neighbour index, ready to probe.
 ///
 /// All implementations share the same contract:
@@ -87,43 +109,24 @@ pub trait AnnIndex: Send + Sync {
         false
     }
 
-    /// The IVF probe-width tuning knob, when this index is IVF-backed
-    /// (directly, or every shard of a composite): `(max, current)` where
-    /// `max` is the largest meaningful `nprobe` (the smallest per-shard
-    /// `nlist`) and `current` is the width probes run at now. `None` for
-    /// families without an `nprobe` trade-off — the auto-tuner skips
+    /// The tuning knob `knob`, when this index carries it (directly, or
+    /// every shard of a composite): `(max, current)` where `max` is the
+    /// largest meaningful width — the smallest per-shard `nlist` for
+    /// [`Knob::Nprobe`], the smallest shard's node count for
+    /// [`Knob::EfSearch`] — and `current` is the width probes run at now.
+    /// `None` for families without that trade-off; the auto-tuner skips
     /// them.
-    fn nprobe_knob(&self) -> Option<(usize, usize)> {
+    fn knob(&self, knob: Knob) -> Option<(usize, usize)> {
+        let _ = knob;
         None
     }
 
-    /// Set the IVF probe width ([`nprobe_knob`](AnnIndex::nprobe_knob)),
-    /// clamped to the valid range. Returns `false` — and changes nothing
-    /// — when the index has no knob; composites refuse unless *every*
-    /// child has one, so a partial retune is impossible.
-    fn set_nprobe(&mut self, nprobe: usize) -> bool {
-        let _ = nprobe;
-        false
-    }
-
-    /// The HNSW beam-width tuning knob, when this index is HNSW-backed
-    /// (directly, or every shard of a composite): `(max, current)` where
-    /// `max` is the largest meaningful `ef_search` (the smallest shard's
-    /// node count) and `current` is the beam width probes run at now.
-    /// `None` for families without an `ef_search` trade-off. Mirrors
-    /// [`nprobe_knob`](AnnIndex::nprobe_knob) so the auto-tuner can sweep
-    /// either family through one code path.
-    fn ef_search_knob(&self) -> Option<(usize, usize)> {
-        None
-    }
-
-    /// Set the HNSW beam width
-    /// ([`ef_search_knob`](AnnIndex::ef_search_knob)). Returns `false` —
-    /// and changes nothing — when the index has no such knob; composites
-    /// refuse unless *every* child has one, so a partial retune is
-    /// impossible.
-    fn set_ef_search(&mut self, ef: usize) -> bool {
-        let _ = ef;
+    /// Set `knob` to `width`, clamped to the valid range. Returns `false`
+    /// — and changes nothing — when the index has no such knob;
+    /// composites refuse unless *every* child has it, so a partial retune
+    /// is impossible.
+    fn set_knob(&mut self, knob: Knob, width: usize) -> bool {
+        let _ = (knob, width);
         false
     }
 
@@ -216,13 +219,16 @@ impl AnnIndex for IvfFlatIndex {
     fn can_refresh(&self) -> bool {
         true
     }
-    fn nprobe_knob(&self) -> Option<(usize, usize)> {
+    fn knob(&self, knob: Knob) -> Option<(usize, usize)> {
         let p = self.params();
-        Some((p.nlist, p.nprobe))
+        (knob == Knob::Nprobe).then_some((p.nlist, p.nprobe))
     }
-    fn set_nprobe(&mut self, nprobe: usize) -> bool {
-        IvfFlatIndex::set_nprobe(self, nprobe);
-        true
+    fn set_knob(&mut self, knob: Knob, width: usize) -> bool {
+        let applies = knob == Knob::Nprobe;
+        if applies {
+            IvfFlatIndex::set_nprobe(self, width);
+        }
+        applies
     }
     fn train_generation(&self) -> u64 {
         IvfFlatIndex::train_generation(self)
@@ -285,12 +291,15 @@ impl AnnIndex for HnswIndex {
     fn refresh(&mut self, data: &[f32], changed: &[u32]) -> bool {
         HnswIndex::refresh(self, data, changed)
     }
-    fn ef_search_knob(&self) -> Option<(usize, usize)> {
-        Some(HnswIndex::ef_search_knob(self))
+    fn knob(&self, knob: Knob) -> Option<(usize, usize)> {
+        (knob == Knob::EfSearch).then(|| HnswIndex::ef_search_knob(self))
     }
-    fn set_ef_search(&mut self, ef: usize) -> bool {
-        HnswIndex::set_ef_search(self, ef);
-        true
+    fn set_knob(&mut self, knob: Knob, width: usize) -> bool {
+        let applies = knob == Knob::EfSearch;
+        if applies {
+            HnswIndex::set_ef_search(self, width);
+        }
+        applies
     }
     fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
         HnswIndex::search(self, query, k)
@@ -365,77 +374,34 @@ impl IndexSpec {
         }
     }
 
-    /// The IVF parameters this spec builds with, when it is IVF-backed —
-    /// directly or through any depth of [`IndexSpec::Sharded`] wrapping.
-    /// `None` for every other family: those have no `nprobe` knob for
-    /// the auto-tuner to turn.
-    pub fn ivf_params(&self) -> Option<&IvfParams> {
+    /// The recall/latency knob this spec builds with, as `(knob, width)`
+    /// — [`Knob::Nprobe`] for IVF-backed specs, [`Knob::EfSearch`] for
+    /// HNSW-backed ones, directly or through any depth of
+    /// [`IndexSpec::Sharded`] wrapping. `None` for knobless families
+    /// (Flat, PQ): the auto-tuner skips those.
+    pub fn knob(&self) -> Option<(Knob, usize)> {
         match self {
-            IndexSpec::IvfFlat(p) => Some(p),
-            IndexSpec::Sharded { inner, .. } => inner.ivf_params(),
+            IndexSpec::IvfFlat(p) => Some((Knob::Nprobe, p.nprobe)),
+            IndexSpec::Hnsw(p) => Some((Knob::EfSearch, p.ef_search)),
+            IndexSpec::Sharded { inner, .. } => inner.knob(),
             _ => None,
         }
     }
 
-    /// Rewrite the `nprobe` an IVF-backed spec builds with (clamped to
-    /// `1..=nlist`), so every index built from it afterwards probes at
-    /// the tuned width. Returns `false` — and changes nothing — for
-    /// specs without an IVF core.
-    pub fn set_ivf_nprobe(&mut self, nprobe: usize) -> bool {
+    /// Rewrite the width this spec's knob builds with, so every index
+    /// built from it afterwards probes at the tuned width: `nprobe` is
+    /// clamped to `1..=nlist`; `ef_search` is floored at 1 and has no
+    /// static ceiling (the meaningful maximum is the built index's node
+    /// count, which [`AnnIndex::knob`] reports). Returns `false` — and
+    /// changes nothing — for knobless specs.
+    pub fn set_knob(&mut self, width: usize) -> bool {
         match self {
-            IndexSpec::IvfFlat(p) => {
-                p.nprobe = nprobe.min(p.nlist).max(1);
-                true
-            }
-            IndexSpec::Sharded { inner, .. } => inner.set_ivf_nprobe(nprobe),
-            _ => false,
+            IndexSpec::IvfFlat(p) => p.nprobe = width.min(p.nlist).max(1),
+            IndexSpec::Hnsw(p) => p.ef_search = width.max(1),
+            IndexSpec::Sharded { inner, .. } => return inner.set_knob(width),
+            _ => return false,
         }
-    }
-
-    /// The HNSW parameters this spec builds with, when it is HNSW-backed
-    /// — directly or through any depth of [`IndexSpec::Sharded`]
-    /// wrapping. `None` for every other family.
-    pub fn hnsw_params(&self) -> Option<&HnswParams> {
-        match self {
-            IndexSpec::Hnsw(p) => Some(p),
-            IndexSpec::Sharded { inner, .. } => inner.hnsw_params(),
-            _ => None,
-        }
-    }
-
-    /// Rewrite the `ef_search` an HNSW-backed spec builds with (floored
-    /// at 1 — there is no static ceiling: the meaningful maximum depends
-    /// on the built index's node count, which the index-level knob
-    /// reports). Returns `false` for specs without an HNSW core.
-    pub fn set_hnsw_ef_search(&mut self, ef: usize) -> bool {
-        match self {
-            IndexSpec::Hnsw(p) => {
-                p.ef_search = ef.max(1);
-                true
-            }
-            IndexSpec::Sharded { inner, .. } => inner.set_hnsw_ef_search(ef),
-            _ => false,
-        }
-    }
-
-    /// The recall/latency knob this spec exposes to the auto-tuner, as
-    /// `(knob name, current width)`: `("nprobe", ..)` for IVF-backed
-    /// specs, `("ef_search", ..)` for HNSW-backed ones, `None` for
-    /// knobless families (Flat, PQ) — the tuner skips those.
-    pub fn knob_params(&self) -> Option<(&'static str, usize)> {
-        if let Some(p) = self.ivf_params() {
-            return Some(("nprobe", p.nprobe));
-        }
-        self.hnsw_params().map(|p| ("ef_search", p.ef_search))
-    }
-
-    /// Route a tuned width to whichever knob this spec has
-    /// ([`IndexSpec::knob_params`]); `false` for knobless specs.
-    pub fn set_knob_width(&mut self, width: usize) -> bool {
-        if self.ivf_params().is_some() {
-            return self.set_ivf_nprobe(width);
-        }
-        self.set_hnsw_ef_search(width)
+        true
     }
 
     /// Build an index of this family over packed row-major `data`.
@@ -724,7 +690,7 @@ fn check_rows(found: RowFormat, expected: RowFormat) -> Result<(), SnapshotError
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -854,33 +820,76 @@ mod tests {
         assert_eq!(clamp_subspaces(6, 100), 6);
     }
 
+    /// The specs the knob table is written over.
+    pub(crate) fn knob_specs() -> (IndexSpec, IndexSpec, IndexSpec) {
+        (
+            IndexSpec::IvfFlat(IvfParams { nlist: 8, nprobe: 2, ..Default::default() }),
+            IndexSpec::Hnsw(HnswParams { ef_search: 12, ..Default::default() }),
+            IndexSpec::Pq(PqParams { m: 2, nbits: 4, seed: 0 }),
+        )
+    }
+
+    /// One row of the knob table: (spec, rows built over, the built
+    /// index's knob and ceiling, a width to set, where it lands).
+    pub(crate) type KnobRow = (IndexSpec, usize, Option<(Knob, usize)>, usize, usize);
+
+    /// Checks knob rows over the same 90 rows: `spec.knob()` and the built
+    /// index's `knob(k)` agree, the knob the index lacks is refused and
+    /// changes nothing, and the knob it has lands where the row says.
+    pub(crate) fn assert_knob_rows(table: impl IntoIterator<Item = KnobRow>) {
+        use Knob::{EfSearch, Nprobe};
+        let dim = 4;
+        let data = random_data(90, dim, 16);
+        for (mut spec, n, built, width, landed) in table {
+            let ctx = format!("{spec:?} over {n} rows");
+            let spec_knob = spec.knob();
+            let mut ix = spec.build(&data[..n * dim], dim, Metric::L2);
+            if let Some((k, _)) = built {
+                assert_eq!(spec_knob.map(|(sk, _)| sk), Some(k), "{ctx}: spec and index disagree");
+            }
+            let reads = |ix: &dyn AnnIndex| [Nprobe, EfSearch].map(|k| ix.knob(k));
+            let before = reads(ix.as_ref());
+            for (k, got) in [Nprobe, EfSearch].into_iter().zip(before) {
+                let want =
+                    built.filter(|&(bk, _)| bk == k).map(|(_, max)| (max, spec_knob.unwrap().1));
+                assert_eq!(got, want, "{ctx}: {k:?}");
+            }
+            // A knob the index lacks is refused and changes nothing — a
+            // sharded composite touches no child.
+            for k in [Nprobe, EfSearch].into_iter().filter(|&k| built.map(|b| b.0) != Some(k)) {
+                assert!(!ix.set_knob(k, width), "{ctx}: {k:?} accepted");
+                assert_eq!(reads(ix.as_ref()), before, "{ctx}: a refused {k:?} changed the index");
+            }
+            if let Some((k, max)) = built {
+                assert!(ix.set_knob(k, width), "{ctx}: {k:?} refused");
+                assert_eq!(ix.knob(k), Some((max, landed)), "{ctx}: {k:?} after set");
+            }
+            assert_eq!(spec.set_knob(width), spec_knob.is_some(), "{ctx}: spec set");
+            assert_eq!(spec.knob(), spec_knob.map(|(k, _)| (k, landed)), "{ctx}: spec after set");
+        }
+    }
+
+    // The unsharded rows of the knob table; the `@3` rows are in
+    // `sharded::tests`.
     #[test]
     fn knob_params_names_the_right_knob_per_family() {
-        let mut ivf = IndexSpec::IvfFlat(IvfParams { nlist: 8, nprobe: 2, ..Default::default() });
-        assert_eq!(ivf.knob_params(), Some(("nprobe", 2)));
-        assert!(ivf.set_knob_width(5));
-        assert_eq!(ivf.knob_params(), Some(("nprobe", 5)));
-
-        let mut hnsw = IndexSpec::Hnsw(HnswParams { ef_search: 12, ..Default::default() });
-        assert_eq!(hnsw.knob_params(), Some(("ef_search", 12)));
-        assert!(hnsw.set_knob_width(40));
-        assert_eq!(hnsw.knob_params(), Some(("ef_search", 40)));
-        // Unlike nprobe (capped at nlist), ef_search has no static
-        // ceiling in the spec — only the 1 floor.
-        assert!(hnsw.set_knob_width(0));
-        assert_eq!(hnsw.knob_params(), Some(("ef_search", 1)));
-
-        // Sharded wrapping routes through to the core spec.
-        let mut wrapped = hnsw.sharded(3);
-        assert_eq!(wrapped.knob_params(), Some(("ef_search", 1)));
-        assert!(wrapped.set_knob_width(9));
-        assert_eq!(wrapped.knob_params(), Some(("ef_search", 9)));
-
-        // Knobless families report none and refuse widths.
-        for mut spec in [IndexSpec::Flat, IndexSpec::Pq(PqParams::default())] {
-            assert_eq!(spec.knob_params(), None);
-            assert!(!spec.set_knob_width(5));
-        }
+        use Knob::{EfSearch, Nprobe};
+        let (ivf, hnsw, pq) = knob_specs();
+        assert_knob_rows([
+            (IndexSpec::Flat, 90, None, 5, 5),
+            (pq, 90, None, 5, 5),
+            (ivf.clone(), 90, Some((Nprobe, 8)), 5, 5),
+            (ivf.clone(), 90, Some((Nprobe, 8)), 50, 8), // capped at nlist
+            (hnsw.clone(), 90, Some((EfSearch, 90)), 40, 40),
+            (hnsw.clone(), 90, Some((EfSearch, 90)), 0, 1), // floored at 1
+            // Sharded wrapping routes through to the core spec. 90 rows
+            // over 3 shards is an even 30-per-shard split: an HNSW
+            // composite's ceiling is the smallest shard's node count.
+            (hnsw.sharded(3), 90, Some((EfSearch, 30)), 9, 9),
+            // An IVF spec over no rows builds an exact index: the spec
+            // keeps its knob, the index has none to turn.
+            (ivf, 0, None, 5, 5),
+        ]);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod transport;
 
 pub use flat::FlatIndex;
 pub use hnsw::{HnswIndex, HnswParams};
-pub use index::{AnnIndex, IndexSpec, PqParams};
+pub use index::{AnnIndex, IndexSpec, Knob, PqParams};
 pub use ivf::{IvfFlatIndex, IvfParams, RETRAIN_GROWTH};
 pub use kernels::{
     cosine_batch, force_scalar, set_force_scalar, simd_label, simd_level, sq_l2_batch, SimdLevel,
@@ -76,6 +76,6 @@ pub use snapshot::{
 };
 pub use topk::{merge_topk, Hit, TopK};
 pub use transport::{
-    spawn_loopback, Knob, LocalShard, RemoteShard, ShardNode, ShardProbeStats, ShardStatsSnapshot,
+    spawn_loopback, LocalShard, RemoteShard, ShardNode, ShardProbeStats, ShardStatsSnapshot,
     ShardTransport, TransportError,
 };

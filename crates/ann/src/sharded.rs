@@ -11,17 +11,23 @@
 //!
 //! Each shard is a [`ShardHandle`]: one or more replicas behind the
 //! [`ShardTransport`] boundary, so a shard can live in this process
-//! ([`crate::LocalShard`] — the default, zero-cost) or behind a `shardd`
-//! node on the network ([`crate::RemoteShard`]). When every shard is a
-//! single local replica, probing takes exactly the pre-transport
-//! per-query path; otherwise probes scatter one batched frame per shard
-//! and gather the replies, with **hedged requests** on replicated
-//! shards: if the preferred replica has not answered within a
-//! p99-derived delay, the same frame is fired at the next replica and
-//! the first response wins (the loser's reply is discarded). A replica
-//! that *errors* triggers an immediate synchronous failover instead.
-//! Per-shard probe/hedge/failover counters are exposed via
-//! [`ShardedIndex::shard_stats`].
+//! ([`crate::LocalShard`], the default) or behind a `shardd` node on the
+//! network ([`crate::RemoteShard`]). Every topology probes one way,
+//! shard-major: the whole batch goes to each shard as one
+//! `search_batch` (so an in-process child runs its blocked batch
+//! kernel), the shards answer concurrently, and the remapped replies are
+//! merged per query. A single query is a batch of one. Replicated shards
+//! get **hedged requests**: if the preferred replica has not answered
+//! within a p99-derived delay, the same batch is fired at the next
+//! replica and the first response wins (the loser's reply is
+//! discarded). A replica that *errors* triggers an immediate synchronous
+//! failover instead. Per-shard probe/hedge/failover counters are exposed
+//! via [`ShardedIndex::shard_stats`].
+//!
+//! The composite's one tuning surface is [`AnnIndex::knob`] /
+//! [`AnnIndex::set_knob`]: a [`Knob`] reads as present only when every
+//! shard carries it, and a set reaches every replica of every shard or
+//! none.
 //!
 //! With exact children the shard merge is itself exact:
 //! `Sharded(Flat, n)` returns the same hits as `Flat` for every query and
@@ -32,13 +38,13 @@
 //! build speedup — each shard trains on `1/n`-th of the data.
 
 use crate::flat::FlatIndex;
-use crate::index::{AnnIndex, IndexSpec};
+use crate::index::{AnnIndex, IndexSpec, Knob};
 use crate::metric::Metric;
 use crate::rowstore::RowFormat;
 use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::topk::{merge_topk, Hit};
 use crate::transport::{
-    Knob, LocalShard, ShardProbeStats, ShardStatsSnapshot, ShardTransport, TransportError,
+    LocalShard, ShardProbeStats, ShardStatsSnapshot, ShardTransport, TransportError,
 };
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -116,12 +122,6 @@ impl ShardHandle {
         &self.replicas[0]
     }
 
-    /// Single unreplicated in-process replica: the configuration whose
-    /// probes bypass scatter frames entirely.
-    fn is_plain_local(&self) -> bool {
-        self.replicas.len() == 1 && self.replicas[0].is_local()
-    }
-
     fn can_refresh(&self) -> bool {
         self.primary().can_refresh()
     }
@@ -140,14 +140,6 @@ impl ShardHandle {
 
     fn snapshot_blob(&self) -> Result<(u8, Vec<u8>), TransportError> {
         self.primary().snapshot_blob()
-    }
-
-    /// The all-local per-query probe (today's path). Local transports
-    /// are infallible by construction; anything else goes through
-    /// [`ShardHandle::probe`].
-    fn search_local(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        self.probes.fetch_add(1, Ordering::Relaxed);
-        self.primary().search(query, k).expect("local shard probe cannot fail")
     }
 
     fn record_latency(&self, elapsed: Duration) {
@@ -442,67 +434,31 @@ impl ShardedIndex {
         self.len() == 0
     }
 
-    /// Every shard is a single in-process replica: probe exactly like
-    /// the pre-transport composite, no scatter frames.
-    fn all_local(&self) -> bool {
-        self.children.iter().all(|c| c.is_plain_local())
-    }
-
     /// Map a shard-local hit id back to the global insertion id.
     #[inline]
     fn to_global(&self, shard: usize, local: u32) -> u32 {
         local * self.children.len() as u32 + shard as u32
     }
 
-    /// Probe one local shard for its local top-`k`, remapped to global
-    /// ids. Each shard must contribute a full `k` candidates: the global
-    /// top-`k` can in the worst case come entirely from one shard.
-    fn probe_shard(&self, s: usize, query: &[f32], k: usize) -> Vec<Hit> {
-        self.children[s]
-            .search_local(query, k)
-            .into_iter()
-            .map(|h| Hit { id: self.to_global(s, h.id), distance: h.distance })
-            .collect()
-    }
-
-    /// Probe every shard in parallel and merge. Panics on a transport
-    /// failure with no surviving replica — serving layers that need the
-    /// error use [`ShardedIndex::try_search`].
+    /// Probe every shard and merge. Panics on a transport failure with
+    /// no surviving replica — serving layers that need the error use
+    /// [`ShardedIndex::try_search`].
     pub fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
         self.try_search(query, k).expect("shard transport failed during search")
     }
 
-    /// Fallible [`ShardedIndex::search`]: scatter-gathers across
-    /// transports and surfaces a typed [`TransportError`] when a shard
-    /// is unreachable on every replica.
+    /// Fallible [`ShardedIndex::search`]: a batch of one through the same
+    /// shard-major scatter/merge as [`ShardedIndex::try_search_batch`],
+    /// surfacing a typed [`TransportError`] when a shard is unreachable
+    /// on every replica.
     pub fn try_search(&self, query: &[f32], k: usize) -> Result<Vec<Hit>, TransportError> {
-        if self.all_local() {
-            let per_shard: Vec<Vec<Hit>> = (0..self.children.len())
-                .into_par_iter()
-                .map(|s| self.probe_shard(s, query, k))
-                .collect();
-            return Ok(merge_topk(&per_shard, k));
-        }
         Ok(self.scatter_gather(query, k)?.pop().unwrap_or_default())
     }
 
-    /// Probe every shard for one query *sequentially* and merge — the
-    /// per-query unit of work the all-local
-    /// [`ShardedIndex::search_batch`] parallelizes over.
-    fn search_one(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        let per_shard: Vec<Vec<Hit>> =
-            (0..self.children.len()).map(|s| self.probe_shard(s, query, k)).collect();
-        merge_topk(&per_shard, k)
-    }
-
-    /// Batch probe. All-local composites keep the pre-transport shape:
-    /// the (query × shard) fan-out runs one parallel level deep — large
-    /// batches parallelize over queries (each query probing its shards
-    /// inline), batches smaller than the shard count fall back to the
-    /// shard-parallel [`ShardedIndex::search`] per query. Composites
-    /// with remote or replicated shards scatter one batched frame per
-    /// shard instead (the remote node parallelizes internally in its
-    /// own process), hedge slow replicas, and merge per query.
+    /// Batch probe, shard-major: the whole batch goes to every shard as
+    /// one `search_batch` (shards probed concurrently, slow replicas
+    /// hedged), then each query's per-shard lists are remapped to global
+    /// ids and k-way merged.
     pub fn search_batch(&self, queries: &[f32], k: usize) -> Vec<Vec<Hit>> {
         self.try_search_batch(queries, k).expect("shard transport failed during search_batch")
     }
@@ -514,21 +470,13 @@ impl ShardedIndex {
         k: usize,
     ) -> Result<Vec<Vec<Hit>>, TransportError> {
         assert_eq!(queries.len() % self.dim, 0, "query batch length not a multiple of dim");
-        if self.all_local() {
-            let nq = queries.len() / self.dim;
-            if nq < self.children.len() {
-                return queries
-                    .chunks(self.dim)
-                    .map(|q| self.try_search(q, k))
-                    .collect::<Result<Vec<_>, _>>();
-            }
-            return Ok(queries.par_chunks(self.dim).map(|q| self.search_one(q, k)).collect());
-        }
         self.scatter_gather(queries, k)
     }
 
-    /// One frame per shard over the whole batch, shards probed
-    /// concurrently, per-query k-way merge of the remapped replies.
+    /// One `search_batch` per shard over the whole batch, shards probed
+    /// concurrently, per-query k-way merge of the remapped replies. Each
+    /// shard contributes a full `k` candidates per query: the global
+    /// top-`k` can in the worst case come entirely from one shard.
     fn scatter_gather(&self, queries: &[f32], k: usize) -> Result<Vec<Vec<Hit>>, TransportError> {
         let nq = queries.len() / self.dim;
         if nq == 0 {
@@ -576,38 +524,12 @@ impl ShardedIndex {
         self.children.iter().all(|c| c.can_refresh())
     }
 
-    /// The composite IVF probe-width knob: `Some` only when *every*
-    /// child exposes one, reporting the smallest per-shard `nlist` as
-    /// the ceiling (a shard cannot scan more lists than it has) and the
+    /// The composite knob: `Some` only when *every* child exposes
+    /// `knob`, reporting the smallest per-shard ceiling (a shard cannot
+    /// scan more lists, or beam over more nodes, than it has) and the
     /// first child's current width. An unreachable shard reads as "no
     /// knob" — the tuner skips rather than half-tunes.
-    pub fn nprobe_knob(&self) -> Option<(usize, usize)> {
-        self.composite_knob(Knob::Nprobe)
-    }
-
-    /// Route a probe-width override to every shard (every replica);
-    /// refused (and nothing changed) unless all children carry the knob,
-    /// so the shards can never end up probing at mixed widths.
-    pub fn set_nprobe(&mut self, nprobe: usize) -> bool {
-        self.set_composite_knob(Knob::Nprobe, nprobe)
-    }
-
-    /// The composite HNSW beam-width knob: `Some` only when *every*
-    /// child exposes one, reporting the smallest per-shard ceiling (the
-    /// smallest shard's node count) and the first child's current
-    /// `ef_search`. Mirrors [`ShardedIndex::nprobe_knob`].
-    pub fn ef_search_knob(&self) -> Option<(usize, usize)> {
-        self.composite_knob(Knob::EfSearch)
-    }
-
-    /// Route a beam-width override to every shard; refused (and nothing
-    /// changed) unless all children carry the knob, so the shards can
-    /// never end up probing at mixed beam widths.
-    pub fn set_ef_search(&mut self, ef: usize) -> bool {
-        self.set_composite_knob(Knob::EfSearch, ef)
-    }
-
-    fn composite_knob(&self, knob: Knob) -> Option<(usize, usize)> {
+    pub fn knob(&self, knob: Knob) -> Option<(usize, usize)> {
         let mut ceiling = usize::MAX;
         let mut current = None;
         for child in &self.children {
@@ -618,8 +540,11 @@ impl ShardedIndex {
         current.map(|cur| (ceiling, cur))
     }
 
-    fn set_composite_knob(&mut self, knob: Knob, width: usize) -> bool {
-        if self.composite_knob(knob).is_none() {
+    /// Route a width to every shard (every replica); refused (and
+    /// nothing changed) unless all children carry `knob`, so the shards
+    /// can never end up probing at mixed widths.
+    pub fn set_knob(&mut self, knob: Knob, width: usize) -> bool {
+        if self.knob(knob).is_none() {
             return false;
         }
         let mut ok = true;
@@ -839,17 +764,11 @@ impl AnnIndex for ShardedIndex {
     fn can_refresh(&self) -> bool {
         ShardedIndex::can_refresh(self)
     }
-    fn nprobe_knob(&self) -> Option<(usize, usize)> {
-        ShardedIndex::nprobe_knob(self)
+    fn knob(&self, knob: Knob) -> Option<(usize, usize)> {
+        ShardedIndex::knob(self, knob)
     }
-    fn set_nprobe(&mut self, nprobe: usize) -> bool {
-        ShardedIndex::set_nprobe(self, nprobe)
-    }
-    fn ef_search_knob(&self) -> Option<(usize, usize)> {
-        ShardedIndex::ef_search_knob(self)
-    }
-    fn set_ef_search(&mut self, ef: usize) -> bool {
-        ShardedIndex::set_ef_search(self, ef)
+    fn set_knob(&mut self, knob: Knob, width: usize) -> bool {
+        ShardedIndex::set_knob(self, knob, width)
     }
     fn train_generation(&self) -> u64 {
         self.children.iter().map(|c| c.train_generation()).sum()
@@ -1020,44 +939,29 @@ mod tests {
         assert_eq!(ix.len(), 10);
     }
 
+    // The `@3` rows of the knob table in `index::tests`. A row checks
+    // both knobs, so each composite also refuses the one its children
+    // lack, untouched. An IVF composite's ceiling is the per-shard nlist.
     #[test]
     fn nprobe_knob_routes_to_every_shard() {
-        use crate::ivf::IvfParams;
-        let dim = 4;
-        let data = random_data(90, dim, 16);
-        let ivf = IndexSpec::IvfFlat(IvfParams { nlist: 8, nprobe: 2, ..Default::default() });
-        let mut ix = ShardedIndex::build(&ivf, 3, &data, dim, Metric::L2);
-        assert_eq!(ix.nprobe_knob(), Some((8, 2)));
-        assert!(ix.set_nprobe(5));
-        assert_eq!(ix.nprobe_knob(), Some((8, 5)));
-        // Flat shards carry no knob: the composite refuses untouched.
-        let mut flat = ShardedIndex::build(&IndexSpec::Flat, 3, &data, dim, Metric::L2);
-        assert_eq!(flat.nprobe_knob(), None);
-        assert!(!flat.set_nprobe(5));
+        use crate::index::tests::{assert_knob_rows, knob_specs};
+        let (ivf, _, _) = knob_specs();
+        assert_knob_rows([
+            (ivf.sharded(3), 90, Some((Knob::Nprobe, 8)), 5, 5),
+            (IndexSpec::Flat.sharded(3), 90, None, 5, 5),
+        ]);
     }
 
+    // An HNSW composite's ceiling is the smallest shard's node count:
+    // 90 rows over 3 shards is an even 30-per-shard split.
     #[test]
     fn ef_search_knob_routes_to_every_shard() {
-        use crate::hnsw::HnswParams;
-        let dim = 4;
-        let data = random_data(90, dim, 17);
-        let hnsw = IndexSpec::Hnsw(HnswParams { ef_search: 12, ..Default::default() });
-        let mut ix = ShardedIndex::build(&hnsw, 3, &data, dim, Metric::L2);
-        // Ceiling is the smallest shard's node count: 90 rows over 3
-        // shards is an even 30-per-shard split.
-        assert_eq!(ix.ef_search_knob(), Some((30, 12)));
-        assert!(ix.set_ef_search(25));
-        assert_eq!(ix.ef_search_knob(), Some((30, 25)));
-        // IVF shards have a probe knob, not a beam knob; and flat shards
-        // have neither. The composite refuses both, untouched.
-        use crate::ivf::IvfParams;
-        let ivf = IndexSpec::IvfFlat(IvfParams { nlist: 8, nprobe: 2, ..Default::default() });
-        let mut ivf_ix = ShardedIndex::build(&ivf, 3, &data, dim, Metric::L2);
-        assert_eq!(ivf_ix.ef_search_knob(), None);
-        assert!(!ivf_ix.set_ef_search(5));
-        let mut flat = ShardedIndex::build(&IndexSpec::Flat, 3, &data, dim, Metric::L2);
-        assert_eq!(flat.ef_search_knob(), None);
-        assert!(!flat.set_ef_search(5));
+        use crate::index::tests::{assert_knob_rows, knob_specs};
+        let (_, hnsw, pq) = knob_specs();
+        assert_knob_rows([
+            (hnsw.sharded(3), 90, Some((Knob::EfSearch, 30)), 25, 25),
+            (pq.sharded(3), 90, None, 5, 5),
+        ]);
     }
 
     #[test]

@@ -110,10 +110,16 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// FNV-1a 64-bit over `bytes` — no external crates, stable across
-/// platforms, and plenty for corruption detection (not cryptographic).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+/// FNV-1a 64-bit offset basis: `fnv1a64(FNV_BASIS, bytes)` hashes
+/// `bytes`.
+pub(crate) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64-bit, streaming: fold `bytes` into the running hash `h`
+/// (seed with [`FNV_BASIS`]; folding runs in order equals hashing their
+/// concatenation). The one checksum of snapshot files and wire frames —
+/// no external crates, stable across platforms, and plenty for
+/// corruption detection (not cryptographic).
+pub(crate) fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -316,7 +322,7 @@ pub(crate) fn encode_file(family: u8, payload: &[u8]) -> Vec<u8> {
     buf.push(family);
     buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     buf.extend_from_slice(payload);
-    let sum = fnv1a64(&buf);
+    let sum = fnv1a64(FNV_BASIS, &buf);
     buf.extend_from_slice(&sum.to_le_bytes());
     buf
 }
@@ -352,7 +358,7 @@ pub(crate) fn decode_file(bytes: &[u8]) -> Result<(u8, &[u8]), SnapshotError> {
         return Err(SnapshotError::Corrupt("trailing file bytes"));
     }
     let stored = u64::from_le_bytes(bytes[total - 8..].try_into().unwrap());
-    if fnv1a64(&bytes[..total - 8]) != stored {
+    if fnv1a64(FNV_BASIS, &bytes[..total - 8]) != stored {
         return Err(SnapshotError::ChecksumMismatch);
     }
     Ok((family, &bytes[HEADER..HEADER + payload_len]))

@@ -1,18 +1,24 @@
-//! The in-process shard transport: today's path, zero marshalling.
+//! The in-process shard transport: no marshalling, same probe path.
+//!
+//! [`crate::ShardedIndex`] probes a `LocalShard` exactly as it probes a
+//! [`super::RemoteShard`] — one [`ShardTransport::search_batch`] per
+//! shard per batch, merged per query — so an in-process composite runs
+//! each child's blocked batch kernel instead of one single-query probe
+//! per query. Knobs pass straight through to [`AnnIndex::knob`] /
+//! [`AnnIndex::set_knob`].
 
-use super::{Knob, ShardTransport, TransportError};
-use crate::index::AnnIndex;
+use super::{ShardTransport, TransportError};
+use crate::index::{AnnIndex, Knob};
 use crate::metric::Metric;
 use crate::snapshot;
 use crate::topk::Hit;
 use std::sync::RwLock;
 
 /// A shard hosted in this process: the child index behind a read-write
-/// lock (searches share the read side, so concurrent per-query probes
-/// of one shard stay concurrent; mutations take the write side). Every
-/// operation is infallible in practice — the `Result` signatures exist
-/// for the trait; only [`LocalShard::install`] can actually fail, on a
-/// rejected blob.
+/// lock (probes share the read side, mutations take the write side).
+/// Every operation is infallible in practice — the `Result` signatures
+/// exist for the trait; only [`LocalShard::install`] can actually fail,
+/// on a rejected blob.
 pub struct LocalShard {
     index: RwLock<Box<dyn AnnIndex>>,
 }
@@ -52,10 +58,6 @@ impl ShardTransport for LocalShard {
         self.read().train_generation()
     }
 
-    fn is_local(&self) -> bool {
-        true
-    }
-
     fn endpoint(&self) -> String {
         "local".into()
     }
@@ -75,28 +77,16 @@ impl ShardTransport for LocalShard {
         Ok(self.write().refresh(data, changed))
     }
 
-    fn search(&self, query: &[f32], k: usize) -> Result<Vec<Hit>, TransportError> {
-        Ok(self.read().search(query, k))
-    }
-
     fn search_batch(&self, queries: &[f32], k: usize) -> Result<Vec<Vec<Hit>>, TransportError> {
         Ok(self.read().search_batch(queries, k))
     }
 
     fn knob(&self, knob: Knob) -> Result<Option<(usize, usize)>, TransportError> {
-        let ix = self.read();
-        Ok(match knob {
-            Knob::Nprobe => ix.nprobe_knob(),
-            Knob::EfSearch => ix.ef_search_knob(),
-        })
+        Ok(self.read().knob(knob))
     }
 
     fn set_knob(&self, knob: Knob, width: usize) -> Result<bool, TransportError> {
-        let mut ix = self.write();
-        Ok(match knob {
-            Knob::Nprobe => ix.set_nprobe(width),
-            Knob::EfSearch => ix.set_ef_search(width),
-        })
+        Ok(self.write().set_knob(knob, width))
     }
 
     fn snapshot_blob(&self) -> Result<(u8, Vec<u8>), TransportError> {

@@ -4,13 +4,19 @@
 //! object-safe [`ShardTransport`] trait instead of a concrete child
 //! index, so where a shard *lives* is a deployment choice, not a type:
 //!
-//! * [`LocalShard`] wraps an in-process child index at zero cost —
-//!   today's path, bitwise identical to the pre-transport composite;
+//! * [`LocalShard`] wraps an in-process child index behind a lock, with
+//!   no marshalling;
 //! * [`RemoteShard`] speaks a small length-prefixed, checksummed binary
 //!   protocol ([`wire`]) over TCP to a [`ShardNode`] — the accept loop
 //!   behind the `shardd` binary. Index state crosses the wire as the
-//!   PR-7 snapshot container verbatim, so shard shipping *is* snapshot
+//!   snapshot container verbatim, so shard shipping *is* snapshot
 //!   shipping and inherits its magic/version/checksum validation.
+//!
+//! Both are probed the same way: the composite sends each shard one
+//! [`ShardTransport::search_batch`] per batch and merges per query —
+//! there is no separate local path. Tuning goes through the one
+//! [`Knob`] vocabulary of [`crate::AnnIndex`]: [`ShardTransport::knob`] /
+//! [`ShardTransport::set_knob`] carry it, and the wire sends its code.
 //!
 //! All methods take `&self` (interior mutability), so replicas of one
 //! shard can be shared as `Arc<dyn ShardTransport>` across the hedged
@@ -70,6 +76,7 @@ pub use local::LocalShard;
 pub use node::{spawn_loopback, ShardNode};
 pub use remote::RemoteShard;
 
+use crate::index::Knob;
 use crate::metric::Metric;
 use crate::snapshot::SnapshotError;
 use crate::topk::Hit;
@@ -136,17 +143,7 @@ impl From<SnapshotError> for TransportError {
     }
 }
 
-/// A retunable per-shard search knob, addressed uniformly so the
-/// composite (and the wire protocol) need one get/set pair instead of
-/// one per family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Knob {
-    /// IVF probe width (`nprobe`).
-    Nprobe,
-    /// HNSW beam width (`ef_search`).
-    EfSearch,
-}
-
+/// [`Knob`]'s wire codes.
 impl Knob {
     pub(crate) fn code(self) -> u8 {
         match self {
@@ -203,12 +200,6 @@ pub trait ShardTransport: Send + Sync {
     /// Trained-structure generation of the installed index.
     fn train_generation(&self) -> u64;
 
-    /// `true` only for in-process transports — the sharded layer keeps
-    /// its zero-overhead per-query path when every shard is local.
-    fn is_local(&self) -> bool {
-        false
-    }
-
     /// Human-readable endpoint ("local", `tcp://host:port`) for stats
     /// and error messages.
     fn endpoint(&self) -> String;
@@ -225,23 +216,14 @@ pub trait ShardTransport: Send + Sync {
     /// the child's in-place acceptance per the `AnnIndex` contract.
     fn refresh(&self, data: &[f32], changed: &[u32]) -> Result<bool, TransportError>;
 
-    /// Top-`k` for one query — default routes through
-    /// [`ShardTransport::search_batch`]; `LocalShard` overrides it to
-    /// the child's single-query path so the all-local composite stays
-    /// bitwise on today's code.
-    fn search(&self, query: &[f32], k: usize) -> Result<Vec<Hit>, TransportError> {
-        Ok(self.search_batch(query, k)?.pop().unwrap_or_default())
-    }
-
-    /// Top-`k` for many packed queries — one frame per shard is the
-    /// scatter-gather unit.
+    /// Top-`k` for many packed queries — the composite's only probe:
+    /// one call per shard per batch (a single query is a batch of one).
     fn search_batch(&self, queries: &[f32], k: usize) -> Result<Vec<Vec<Hit>>, TransportError>;
 
-    /// Read a tuning knob: `Ok(Some((max, current)))` when the installed
-    /// index carries it.
+    /// [`crate::AnnIndex::knob`] of the installed index.
     fn knob(&self, knob: Knob) -> Result<Option<(usize, usize)>, TransportError>;
 
-    /// Set a tuning knob; `Ok(applied)` mirrors the `AnnIndex` setter.
+    /// [`crate::AnnIndex::set_knob`] on the installed index.
     fn set_knob(&self, knob: Knob, width: usize) -> Result<bool, TransportError>;
 
     /// Fetch the shard's current index as a tagged snapshot blob.
@@ -252,8 +234,8 @@ pub trait ShardTransport: Send + Sync {
 /// scatter-gather layer (the first slice of the metrics registry).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardProbeStats {
-    /// Queries probed against this shard (each query in a batched frame
-    /// counts once, matching the per-query local path).
+    /// Queries probed against this shard (each query of a batch counts
+    /// once).
     pub probes: u64,
     /// Hedge requests fired after the p99-derived delay expired.
     pub hedges_fired: u64,

@@ -17,8 +17,8 @@
 //! frame-aligned.
 
 use super::wire::{self, NodeInfo};
-use super::{Knob, TransportError};
-use crate::index::AnnIndex;
+use super::TransportError;
+use crate::index::{AnnIndex, Knob};
 use crate::snapshot::{self, SnapshotWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -182,12 +182,8 @@ fn dispatch(state: &NodeState, op: u8, payload: &[u8]) -> Result<Vec<u8>, Transp
             r.finish()?;
             let guard = state.index.read().expect("node index lock");
             let ix = guard.as_ref().ok_or(TransportError::NoIndex)?;
-            let got = match knob {
-                Knob::Nprobe => ix.nprobe_knob(),
-                Knob::EfSearch => ix.ef_search_knob(),
-            };
             let mut w = SnapshotWriter::new();
-            match got {
+            match ix.knob(knob) {
                 Some((max, cur)) => {
                     w.put_u8(1);
                     w.put_usize(max);
@@ -204,10 +200,7 @@ fn dispatch(state: &NodeState, op: u8, payload: &[u8]) -> Result<Vec<u8>, Transp
             r.finish()?;
             let mut guard = state.index.write().expect("node index lock");
             let ix = guard.as_mut().ok_or(TransportError::NoIndex)?;
-            let applied = match knob {
-                Knob::Nprobe => ix.set_nprobe(width),
-                Knob::EfSearch => ix.set_ef_search(width),
-            };
+            let applied = ix.set_knob(knob, width);
             let mut w = SnapshotWriter::new();
             w.put_u8(applied as u8);
             Ok(w.into_bytes())

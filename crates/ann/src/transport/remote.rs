@@ -1,7 +1,8 @@
 //! The socket shard transport: client for a [`super::ShardNode`].
 
 use super::wire::{self, NodeInfo};
-use super::{Knob, ShardTransport, TransportError};
+use super::{ShardTransport, TransportError};
+use crate::index::Knob;
 use crate::metric::Metric;
 use crate::snapshot::{self, SnapshotReader, SnapshotWriter};
 use crate::topk::Hit;

@@ -9,7 +9,7 @@
 //!
 //! Request payloads are encoded with the snapshot module's
 //! little-endian writer/reader, and index state crosses the wire as a
-//! complete PR-7 snapshot *file image* (magic, version, checksum and
+//! complete snapshot *file image* (magic, version, checksum and
 //! all) — the node validates a shipped shard exactly like a snapshot
 //! loaded from disk. Hit distances travel as `f32::to_bits`, so a
 //! remote probe is bitwise the local one.
@@ -19,7 +19,7 @@
 //! checksum, an insane declared length is rejected before allocation.
 
 use super::TransportError;
-use crate::snapshot::{SnapshotReader, SnapshotWriter};
+use crate::snapshot::{fnv1a64, SnapshotReader, SnapshotWriter, FNV_BASIS};
 use crate::topk::Hit;
 use std::io::{Read, Write};
 
@@ -75,17 +75,6 @@ pub(crate) fn decode_err(payload: &[u8]) -> TransportError {
 
 const HEADER_LEN: usize = 4 + 1 + 1 + 8;
 
-/// Streaming FNV-1a64: seed with [`FNV_BASIS`], fold byte runs in order.
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a64_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Write one frame and flush it.
 pub(crate) fn write_frame(
     w: &mut impl Write,
@@ -97,7 +86,7 @@ pub(crate) fn write_frame(
     header[4] = WIRE_VERSION;
     header[5] = opcode;
     header[6..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    let sum = fnv1a64_fold(fnv1a64_fold(FNV_BASIS, &header), payload);
+    let sum = fnv1a64(fnv1a64(FNV_BASIS, &header), payload);
     w.write_all(&header)?;
     w.write_all(payload)?;
     w.write_all(&sum.to_le_bytes())?;
@@ -136,7 +125,7 @@ pub(crate) fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), TransportEr
     read_exact(r, &mut payload)?;
     let mut trailer = [0u8; 8];
     read_exact(r, &mut trailer)?;
-    let sum = fnv1a64_fold(fnv1a64_fold(FNV_BASIS, &header), &payload);
+    let sum = fnv1a64(fnv1a64(FNV_BASIS, &header), &payload);
     if u64::from_le_bytes(trailer) != sum {
         return Err(TransportError::ChecksumMismatch);
     }
@@ -238,6 +227,21 @@ mod tests {
         let (op, payload) = read_frame(&mut buf.as_slice()).unwrap();
         assert_eq!(op, OP_SEARCH);
         assert_eq!(payload, b"payload bytes");
+    }
+
+    #[test]
+    fn checksum_is_pinned_fnv1a64() {
+        // Reference FNV-1a 64 vectors: the empty input hashes to the
+        // offset basis; folding "foo" then "bar" equals hashing "foobar".
+        assert_eq!(fnv1a64(FNV_BASIS, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(FNV_BASIS, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(fnv1a64(FNV_BASIS, b"foo"), b"bar"), 0x8594_4171_f739_67e8);
+        // One fixed frame's trailer, so a changed hash cannot hide behind
+        // a round trip that computes it the same wrong way twice.
+        let mut buf = Vec::new();
+        write_frame(&mut buf, OP_SEARCH, b"payload bytes").unwrap();
+        let trailer = u64::from_le_bytes(buf[buf.len() - 8..].try_into().unwrap());
+        assert_eq!(trailer, 0x60bc_44a1_ef4a_2ecf);
     }
 
     #[test]

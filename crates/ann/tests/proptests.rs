@@ -2,7 +2,7 @@
 
 use dial_ann::{
     kernels, kmeans, sq_l2, AnnIndex, FlatIndex, HnswParams, IndexSpec, IvfFlatIndex, IvfParams,
-    Metric, PqIndex, PqParams, RowFormat, SnapshotError, TopK,
+    Knob, Metric, PqIndex, PqParams, RowFormat, SnapshotError, TopK,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -636,7 +636,11 @@ fn snapshot_load_rejects_spec_and_shape_mismatches() {
     let retuned = IndexSpec::IvfFlat(IvfParams { nlist: 8, nprobe: 7, ..Default::default() });
     let loaded =
         retuned.load_snapshot(&path, dim, Metric::L2, RowFormat::F32).expect("nprobe is a knob");
-    assert_eq!(loaded.nprobe_knob(), Some((8, 7)), "loaded index aligned to the spec's nprobe");
+    assert_eq!(
+        loaded.knob(Knob::Nprobe),
+        Some((8, 7)),
+        "loaded index aligned to the spec's nprobe"
+    );
 
     // Structural corruption inside the container is still caught.
     let mut bytes = std::fs::read(&path).unwrap();

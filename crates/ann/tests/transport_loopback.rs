@@ -6,8 +6,8 @@
 //! bug, not float noise.
 
 use dial_ann::{
-    spawn_loopback, AnnIndex, HnswParams, IndexSpec, IvfParams, Metric, PqParams, RemoteShard,
-    ShardHandle, ShardTransport, ShardedIndex, TransportError,
+    spawn_loopback, AnnIndex, HnswParams, IndexSpec, IvfParams, Knob, Metric, PqParams,
+    RemoteShard, ShardHandle, ShardTransport, ShardedIndex, TransportError,
 };
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -112,10 +112,10 @@ fn loopback_knob_retunes_propagate_to_every_node() {
     let ivf = IndexSpec::IvfFlat(IvfParams { nlist: 8, nprobe: 2, ..Default::default() });
     let mut local = ShardedIndex::build(&ivf, 3, &data, dim, Metric::L2);
     let mut remote = over_loopback(&ivf, 3, &data, dim, Metric::L2);
-    assert_eq!(remote.nprobe_knob(), local.nprobe_knob());
-    assert!(remote.set_nprobe(6));
-    assert!(local.set_nprobe(6));
-    assert_eq!(remote.nprobe_knob(), Some((8, 6)));
+    assert_eq!(remote.knob(Knob::Nprobe), local.knob(Knob::Nprobe));
+    assert!(remote.set_knob(Knob::Nprobe, 6));
+    assert!(local.set_knob(Knob::Nprobe, 6));
+    assert_eq!(remote.knob(Knob::Nprobe), Some((8, 6)));
     // Probe-width retunes change which lists are scanned; parity must
     // hold at the *new* width too.
     for qi in [3usize, 48] {
@@ -130,9 +130,9 @@ fn loopback_knob_retunes_propagate_to_every_node() {
     let hnsw = IndexSpec::Hnsw(HnswParams { ef_search: 10, ..Default::default() });
     let mut lh = ShardedIndex::build(&hnsw, 2, &data, dim, Metric::L2);
     let mut rh = over_loopback(&hnsw, 2, &data, dim, Metric::L2);
-    assert_eq!(rh.ef_search_knob(), lh.ef_search_knob());
-    assert!(rh.set_ef_search(24));
-    assert!(lh.set_ef_search(24));
+    assert_eq!(rh.knob(Knob::EfSearch), lh.knob(Knob::EfSearch));
+    assert!(rh.set_knob(Knob::EfSearch, 24));
+    assert!(lh.set_knob(Knob::EfSearch, 24));
     let q = &data[0..dim];
     bitwise_eq(&rh.try_search(q, 7).expect("remote search"), &lh.search(q, 7), "hnsw post-retune");
 }

@@ -43,7 +43,7 @@
 use crate::report::{json_f64, json_obj, json_str, print_table, ToJson};
 use dial_ann::{
     force_scalar, set_force_scalar, simd_label, spawn_loopback, FlatIndex, Hit, HnswParams,
-    IndexSpec, IvfParams, Metric, PqParams, RemoteShard, RowFormat, ShardedIndex,
+    IndexSpec, IvfParams, Knob, Metric, PqParams, RemoteShard, RowFormat, ShardedIndex,
 };
 use dial_core::{recall_at_k, IndexBackend, RetrievalEngine, TuneConfig};
 use rand::rngs::StdRng;
@@ -605,7 +605,7 @@ fn run_tuning(smoke: bool) -> TuningReport {
     let truth = flat.search_batch(&queries, k);
     let (build_ns, mut ix) = time_ns(1, || spec.build(&base, dim, Metric::L2));
     let mut measure = |nprobe: usize| {
-        ix.set_nprobe(nprobe);
+        ix.set_knob(Knob::Nprobe, nprobe);
         let (ns, hits) = time_ns(reps, || ix.search_batch(&queries, k));
         (recall_at_k(&hits, &truth, k), ns / nq as f64)
     };

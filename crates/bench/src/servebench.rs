@@ -515,7 +515,10 @@ pub fn write(report: &ServeBenchReport) {
     }
 }
 
-/// Loud gate for the CI `serve-smoke` job:
+/// Loud gate for `repro serve` (the CI `serve-smoke` job): everything
+/// [`assert_correct`] checks, plus the rate checks. Rates compare
+/// wall-clock runs, so this gate belongs to a dedicated bench job, never
+/// to a unit test.
 ///
 /// * **correctness is absolute** — zero served responses may differ from
 ///   a direct single-query `search`, at any load, any worker count, and
@@ -539,6 +542,46 @@ pub fn write(report: &ServeBenchReport) {
 /// * overload rows may shed and reject freely — that is the mechanism
 ///   working, not a regression.
 pub fn assert_no_regression(report: &ServeBenchReport) {
+    assert_correct(report);
+    for mode in ["off", "on"] {
+        let lightest = report
+            .rows
+            .iter()
+            .filter(|r| r.pattern == "fixed" && r.cache == mode)
+            .min_by(|a, b| a.offered_qps.total_cmp(&b.offered_qps))
+            .expect("at least one fixed-rate row per cache mode");
+        assert!(
+            lightest.met_slo,
+            "lightest fixed row (cache {}, {:.0} qps) missed the SLO: p99 {:.0} us (bound {:.0}), \
+             shed {}, rejected {}",
+            mode,
+            lightest.offered_qps,
+            lightest.p99_us,
+            report.slo_us,
+            lightest.shed,
+            lightest.rejected
+        );
+    }
+    assert!(
+        report.qps_at_slo > 0.0,
+        "no offered-load row met the SLO (p99 <= {:.0} us with nothing shed/rejected)",
+        report.slo_us
+    );
+    assert!(
+        report.qps_at_slo_on >= report.qps_at_slo_off * CACHE_UPLIFT_FLOOR,
+        "cache-on QPS-at-SLO ({:.0}) fell below cache-off ({:.0}) — the cache is a tax on the \
+         zipfian ladder",
+        report.qps_at_slo_on,
+        report.qps_at_slo_off
+    );
+}
+
+/// The timing-free half of [`assert_no_regression`]: every served
+/// response bitwise equal to direct search, request and serve accounting
+/// closed on every row, and at least one cache-on hit. It reads only bits
+/// and counts, so it holds on any machine at any load — the unit test of
+/// the real harness gates on this and never on a rate.
+pub fn assert_correct(report: &ServeBenchReport) {
     for r in &report.rows {
         assert_eq!(
             r.correctness_violations, 0,
@@ -567,41 +610,10 @@ pub fn assert_no_regression(report: &ServeBenchReport) {
             r.served
         );
     }
-    for mode in ["off", "on"] {
-        let lightest = report
-            .rows
-            .iter()
-            .filter(|r| r.pattern == "fixed" && r.cache == mode)
-            .min_by(|a, b| a.offered_qps.total_cmp(&b.offered_qps))
-            .expect("at least one fixed-rate row per cache mode");
-        assert!(
-            lightest.met_slo,
-            "lightest fixed row (cache {}, {:.0} qps) missed the SLO: p99 {:.0} us (bound {:.0}), \
-             shed {}, rejected {}",
-            mode,
-            lightest.offered_qps,
-            lightest.p99_us,
-            report.slo_us,
-            lightest.shed,
-            lightest.rejected
-        );
-    }
     let on_hits: u64 = report.rows.iter().filter(|r| r.cache == "on").map(|r| r.hits).sum();
     assert!(
         on_hits > 0,
         "zipfian traffic produced zero cache hits across every cache-on row — the cache is dead"
-    );
-    assert!(
-        report.qps_at_slo > 0.0,
-        "no offered-load row met the SLO (p99 <= {:.0} us with nothing shed/rejected)",
-        report.slo_us
-    );
-    assert!(
-        report.qps_at_slo_on >= report.qps_at_slo_off * CACHE_UPLIFT_FLOOR,
-        "cache-on QPS-at-SLO ({:.0}) fell below cache-off ({:.0}) — the cache is a tax on the \
-         zipfian ladder",
-        report.qps_at_slo_on,
-        report.qps_at_slo_off
     );
 }
 
@@ -678,25 +690,41 @@ mod tests {
     fn gate_passes_a_healthy_report_and_fails_each_red_path() {
         let ok = healthy_report();
         assert_no_regression(&ok);
-        // A single correctness violation fails, even on a cached row.
+        let fails = |gate: fn(&ServeBenchReport), r: &ServeBenchReport| {
+            std::panic::catch_unwind(|| gate(r)).is_err()
+        };
+        // Correctness red paths fail `assert_correct`, and with it the
+        // full gate. A single correctness violation fails, even on a
+        // cached row.
         let mut bad = ok.clone();
         bad.rows[3].correctness_violations = 1;
-        assert!(std::panic::catch_unwind(|| assert_no_regression(&bad)).is_err());
+        assert!(fails(assert_correct, &bad) && fails(assert_no_regression, &bad));
         // Request accounting that does not close fails (a hung ticket).
         let mut bad = ok.clone();
         bad.rows[0].served = 99;
-        assert!(std::panic::catch_unwind(|| assert_no_regression(&bad)).is_err());
+        assert!(fails(assert_correct, &bad) && fails(assert_no_regression, &bad));
         // Serve accounting that does not close fails (a double-counted
         // or unattributed response).
         let mut bad = ok.clone();
         bad.rows[2].scanned += 1;
-        assert!(std::panic::catch_unwind(|| assert_no_regression(&bad)).is_err());
-        // The lightest fixed row missing the SLO fails, in either mode...
+        assert!(fails(assert_correct, &bad) && fails(assert_no_regression, &bad));
+        // A dead cache (zero hits on zipfian traffic) fails.
+        let mut bad = ok.clone();
+        for r in bad.rows.iter_mut().filter(|r| r.cache == "on") {
+            r.scanned += r.hits;
+            r.hits = 0;
+        }
+        assert!(fails(assert_correct, &bad) && fails(assert_no_regression, &bad));
+
+        // Rate red paths pass `assert_correct` (bits and counts are fine)
+        // and fail only the full gate. The lightest fixed row missing the
+        // SLO fails, in either mode...
         for row_ix in [0usize, 2] {
             let mut bad = ok.clone();
             bad.rows[row_ix].p99_us = SLO_US + 1.0;
             bad.rows[row_ix].met_slo = false;
-            assert!(std::panic::catch_unwind(|| assert_no_regression(&bad)).is_err());
+            assert_correct(&bad);
+            assert!(fails(assert_no_regression, &bad));
         }
         // ...including by shedding under light load.
         let mut bad = ok.clone();
@@ -704,19 +732,14 @@ mod tests {
         bad.rows[0].served = 95;
         bad.rows[0].scanned -= 5;
         bad.rows[0].met_slo = false;
-        assert!(std::panic::catch_unwind(|| assert_no_regression(&bad)).is_err());
-        // A dead cache (zero hits on zipfian traffic) fails.
-        let mut bad = ok.clone();
-        for r in bad.rows.iter_mut().filter(|r| r.cache == "on") {
-            r.scanned += r.hits;
-            r.hits = 0;
-        }
-        assert!(std::panic::catch_unwind(|| assert_no_regression(&bad)).is_err());
+        assert_correct(&bad);
+        assert!(fails(assert_no_regression, &bad));
         // The cache costing QPS-at-SLO fails.
         let mut bad = ok.clone();
         bad.qps_at_slo_on = bad.qps_at_slo_off * 0.5;
         bad.cache_uplift = 0.5;
-        assert!(std::panic::catch_unwind(|| assert_no_regression(&bad)).is_err());
+        assert_correct(&bad);
+        assert!(fails(assert_no_regression, &bad));
         // An overload row shedding/rejecting is fine — the mechanism at
         // work — as long as accounting closes and correctness holds.
         let mut overloaded = ok.clone();
@@ -774,15 +797,17 @@ mod tests {
 
     #[test]
     fn smoke_sweep_serves_correctly_end_to_end() {
-        // The real harness at smoke scale: the full gate must pass —
-        // bitwise truth in both cache modes, closing accounting, live
-        // cache — and the report must carry every row pattern twice.
+        // The real harness at smoke scale: bitwise truth in both cache
+        // modes, closing accounting, a live cache — and the report must
+        // carry every row pattern twice. The rate checks of the full gate
+        // compare two sub-second wall-clock runs, so they run in `repro
+        // serve`, not here.
         let report = run(true);
         assert_eq!(report.rows.len(), 10);
         for mode in ["off", "on"] {
             assert_eq!(report.rows.iter().filter(|r| r.cache == mode).count(), 5);
             assert!(report.rows.iter().any(|r| r.cache == mode && r.pattern == "burst"));
         }
-        assert_no_regression(&report);
+        assert_correct(&report);
     }
 }

@@ -392,7 +392,7 @@ impl RetrievalEngine {
         tune: TuneConfig,
     ) -> Self {
         let mut engine = RetrievalEngine::new(spec, incremental_threshold, pipeline_depth);
-        engine.baseline_width = engine.spec.knob_params().map(|(_, w)| w);
+        engine.baseline_width = engine.spec.knob().map(|(_, w)| w);
         engine.tune = Some(tune);
         engine
     }
@@ -664,9 +664,10 @@ impl RetrievalEngine {
         k: usize,
     ) -> Option<MemberState> {
         let tune = self.tune?;
-        if self.calibrated || self.spec.knob_params().is_none() {
+        if self.calibrated {
             return None;
         }
+        let (knob, _) = self.spec.knob()?;
         let (n, nq) = (view_r.len() / dim, view_s.len() / dim);
         if n == 0 || nq == 0 {
             // Nothing to measure yet — do *not* consume the calibration
@@ -684,21 +685,19 @@ impl RetrievalEngine {
         // One probe index builds the index the sweep re-probes at every
         // width; the members themselves build after the spec is tuned.
         let mut probe = self.spec.build_rows(view_r, dim, Metric::L2, self.rows);
-        let Some((ceiling, built_width)) = probe.nprobe_knob().or_else(|| probe.ef_search_knob())
-        else {
+        let Some((ceiling, built_width)) = probe.knob(knob) else {
             // The spec is knob-backed but the built index lost the knob
             // (e.g. a shard built over no rows fell back to flat):
             // nothing to tune, but the build is still a valid member-0
             // index — hand it back for reuse.
             return Some(MemberState { index: probe, rows: view_r.to_vec() });
         };
-        let knob = self.spec.knob_params().map(|(name, _)| name).expect("gated on knob_params");
         // The comparison floor is the *heuristic's* width, not whatever
         // a previous calibration tuned the spec to.
         let static_width = self.baseline_width.unwrap_or(built_width).min(ceiling).max(1);
         let mut steps: Vec<TuneStep> = Vec::new();
         let measure = |probe: &mut Box<dyn AnnIndex>, width: usize| {
-            let _ = probe.set_nprobe(width) || probe.set_ef_search(width);
+            probe.set_knob(knob, width);
             let t = Instant::now();
             let hits = probe.search_batch(sample, k);
             let ns = t.elapsed().as_nanos() as f64 / sample_n as f64;
@@ -748,16 +747,15 @@ impl RetrievalEngine {
             .iter()
             .find(|s| s.recall >= goal)
             .expect("best_recall meets the goal by construction");
-        self.spec.set_knob_width(chosen.width);
+        self.spec.set_knob(chosen.width);
         // A recalibration must reach members that survive in place: a
         // refreshed index never re-reads the spec, so without this it
         // would keep probing at the previously tuned width.
         for member in &mut self.members {
-            let _ =
-                member.index.set_nprobe(chosen.width) || member.index.set_ef_search(chosen.width);
+            member.index.set_knob(knob, chosen.width);
         }
         self.tuning = Some(TuningOutcome {
-            knob: knob.to_string(),
+            knob: knob.name().to_string(),
             ceiling,
             static_width,
             chosen_width: chosen.width,
@@ -776,7 +774,7 @@ impl RetrievalEngine {
         // tuned spec (both knobs are search-time parameters; quantizer/
         // graph construction saw the same rows and seed) — reuse it
         // instead of training the same index twice.
-        let _ = probe.set_nprobe(chosen.width) || probe.set_ef_search(chosen.width);
+        probe.set_knob(knob, chosen.width);
         Some(MemberState { index: probe, rows: view_r.to_vec() })
     }
 
@@ -1257,7 +1255,7 @@ mod tests {
         assert!(t.steps.iter().any(|s| s.width == t.static_width), "floor must be measured");
         // The tuned width is written back to the spec, so the rebuilds
         // HNSW pays every round (it declines in-place refresh) keep it.
-        assert_eq!(e.spec.knob_params(), Some(("ef_search", t.chosen_width)));
+        assert_eq!(e.spec.knob(), Some((dial_ann::Knob::EfSearch, t.chosen_width)));
     }
 
     #[test]

@@ -51,10 +51,9 @@
 //! **generation counter**: [`QueryService::install_index`] (replace the
 //! whole index with a freshly built one — the zero-downtime "serve round
 //! *r* while round *r+1* trains" swap), [`QueryService::refresh`]
-//! (in-place row update), and the tuner knobs
-//! [`QueryService::set_nprobe`] / [`QueryService::set_ef_search`]. Cache
-//! entries carry the generation they were scanned at, and a lookup only
-//! hits at the *current* generation — so a mutation invalidates the
+//! (in-place row update), and the tuner knob [`QueryService::set_knob`].
+//! Cache entries carry the generation they were scanned at, and a lookup
+//! only hits at the *current* generation — so a mutation invalidates the
 //! whole cache in O(1) and a stale result is never served: the first
 //! identical query after a swap misses and rescans against the new
 //! index. Dispatch reads the generation under the index read lock, so a
@@ -73,7 +72,7 @@
 //! queue, cache sizes included.
 
 use crate::cache::{bits_eq, key_hash, CacheLookup, ResultCache};
-use dial_ann::{AnnIndex, Hit, ShardStatsSnapshot};
+use dial_ann::{AnnIndex, Hit, Knob, ShardStatsSnapshot};
 use rayon::pipeline::{self, TryRecvError, TrySendError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -715,7 +714,7 @@ impl QueryService {
 
     /// The current index generation. Bumped by every mutation
     /// ([`QueryService::install_index`], [`QueryService::refresh`],
-    /// [`QueryService::set_nprobe`], [`QueryService::set_ef_search`]);
+    /// [`QueryService::set_knob`]);
     /// cache entries from older generations are never served.
     pub fn generation(&self) -> u64 {
         self.inner.generation.load(Ordering::Acquire)
@@ -762,26 +761,14 @@ impl QueryService {
         applied
     }
 
-    /// Retune the served index's IVF probe width
-    /// ([`AnnIndex::set_nprobe`]) under the write lock. Returns `false`
-    /// — and bumps nothing — when the index has no such knob; an applied
-    /// retune bumps the generation (a different width ranks different
-    /// candidates, so cached results are stale).
-    pub fn set_nprobe(&self, nprobe: usize) -> bool {
+    /// Retune the served index's search width ([`AnnIndex::set_knob`])
+    /// under the write lock. Returns `false` — and bumps nothing — when
+    /// the index has no such knob; an applied retune bumps the
+    /// generation (a different width ranks different candidates, so
+    /// cached results are stale).
+    pub fn set_knob(&self, knob: Knob, width: usize) -> bool {
         let mut guard = self.inner.index.write().unwrap();
-        let applied = guard.set_nprobe(nprobe);
-        if applied {
-            self.inner.generation.fetch_add(1, Ordering::Release);
-        }
-        applied
-    }
-
-    /// Retune the served index's HNSW beam width
-    /// ([`AnnIndex::set_ef_search`]) under the write lock; generation
-    /// semantics as [`QueryService::set_nprobe`].
-    pub fn set_ef_search(&self, ef: usize) -> bool {
-        let mut guard = self.inner.index.write().unwrap();
-        let applied = guard.set_ef_search(ef);
+        let applied = guard.set_knob(knob, width);
         if applied {
             self.inner.generation.fetch_add(1, Ordering::Release);
         }
@@ -1324,16 +1311,16 @@ mod tests {
         let q: Vec<f32> = rows[..dim].to_vec();
         svc.submit(q.clone(), 3, None).unwrap();
         svc.pump();
-        assert!(svc.set_nprobe(2), "IVF index must accept the probe-width knob");
+        assert!(svc.set_knob(Knob::Nprobe, 2), "IVF index must accept the probe-width knob");
         assert_eq!(svc.generation(), 1);
-        assert!(!svc.set_ef_search(10), "IVF has no beam knob");
+        assert!(!svc.set_knob(Knob::EfSearch, 10), "IVF has no beam knob");
         assert_eq!(svc.generation(), 1, "a refused knob must not bump the generation");
         // The retuned width is what the rescan sees.
         let t = svc.submit(q.clone(), 3, None).unwrap();
         svc.pump();
         let narrow = {
             let mut reference = spec.build(&rows, dim, Metric::L2);
-            reference.set_nprobe(2);
+            reference.set_knob(Knob::Nprobe, 2);
             reference.search(&q, 3)
         };
         assert_eq!(t.wait().unwrap().hits, narrow);
