@@ -201,8 +201,7 @@ impl FlatIndex {
 
     /// Pre-kernel reference scan: one scalar [`Metric::distance`] call
     /// per `(query, row)` pair. Kept as the ranking-parity oracle for the
-    /// kernel proptests and as the baseline the `ann` bench measures the
-    /// blocked path against — not used by any retrieval path.
+    /// kernel proptests — not used by any retrieval path.
     pub fn search_scalar(&self, query: &[f32], k: usize) -> Vec<Hit> {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
         let mut top = TopK::new(k);
@@ -211,13 +210,6 @@ impl FlatIndex {
             top.push(id as u32, d);
         }
         top.into_sorted()
-    }
-
-    /// Batch version of [`FlatIndex::search_scalar`] (rayon-parallel per
-    /// query, exactly the pre-kernel `search_batch`).
-    pub fn search_batch_scalar(&self, queries: &[f32], k: usize) -> Vec<Vec<Hit>> {
-        assert_eq!(queries.len() % self.dim, 0, "query batch length not a multiple of dim");
-        queries.par_chunks(self.dim).map(|q| self.search_scalar(q, k)).collect()
     }
 
     /// Serialize the full trained state (rows as stored, cached norms)

@@ -27,9 +27,9 @@
 //!   autovectorized loops as the scalar fallback (and the parity
 //!   oracle — the `*_scalar` kernels are the pre-dispatch code,
 //!   verbatim). `DIAL_FORCE_SCALAR=1` (or [`set_force_scalar`]) pins
-//!   dispatch to the fallback at runtime, which is how annbench
-//!   re-measures its scalar baseline in the same process and how CI
-//!   exercises the fallback path on SIMD hardware.
+//!   dispatch to the fallback at runtime, which is how the
+//!   `tensor_ops` bench times its scalar baseline in the same process
+//!   and how CI exercises the fallback path on SIMD hardware.
 //!
 //! Determinism contract: a given `(query, row)` pair produces the same
 //! `f32` distance regardless of block boundaries, batch sizes, or which

@@ -25,10 +25,11 @@
 //! precision loss is the one storage rounding per component. Rankings
 //! are **not** bitwise-stable against the f32 path — nearly-tied
 //! neighbours can swap — which is why compressed configurations are
-//! gated on measured recall@k (annbench, engine calibration), never on
-//! exact-ranking parity. Decoding is itself deterministic and identical
-//! across dispatch levels (`cvtph_ps` computes exactly [`f16_to_f32`]),
-//! so a given store still ranks identically on every machine.
+//! gated on measured recall@k (the recall-floor proptest, engine
+//! calibration), never on exact-ranking parity. Decoding is itself
+//! deterministic and identical across dispatch levels (`cvtph_ps`
+//! computes exactly [`f16_to_f32`]), so a given store still ranks
+//! identically on every machine.
 
 /// Storage layout of packed index rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -10,25 +10,21 @@
 //! One thread per connection; the index sits behind a `RwLock`, so
 //! concurrent searches from several connections share the read side
 //! while installs and refreshes serialize on the write side. Every
-//! request error (no index installed, rejected blob, bad payload) is
-//! reported to the client as an error frame; protocol-level garbage
-//! (bad magic, checksum failure) gets one error frame and the
-//! connection closed, since the stream can no longer be trusted to be
-//! frame-aligned.
+//! request error (unknown opcode, no index installed, rejected blob, bad
+//! payload) is reported to the client as an error frame and the
+//! connection stays open; protocol-level garbage (bad magic, checksum
+//! failure) gets one error frame and the connection closed, since the
+//! stream can no longer be trusted to be frame-aligned.
 
 use super::wire::{self, NodeInfo};
 use super::TransportError;
 use crate::index::{AnnIndex, Knob};
 use crate::snapshot::{self, SnapshotWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 struct NodeState {
     index: RwLock<Option<Box<dyn AnnIndex>>>,
-    /// Artificial per-search delay in nanoseconds (`OP_DELAY`), for
-    /// deterministic slow-replica scenarios in tests and benches.
-    delay_ns: AtomicU64,
 }
 
 /// A bound, not-yet-serving shard node.
@@ -41,7 +37,7 @@ impl ShardNode {
     /// Bind the listener; `127.0.0.1:0` picks a free loopback port.
     pub fn bind(addr: impl ToSocketAddrs) -> std::io::Result<ShardNode> {
         let listener = TcpListener::bind(addr)?;
-        let state = Arc::new(NodeState { index: RwLock::new(None), delay_ns: AtomicU64::new(0) });
+        let state = Arc::new(NodeState { index: RwLock::new(None) });
         Ok(ShardNode { listener, state })
     }
 
@@ -163,12 +159,6 @@ fn dispatch(state: &NodeState, op: u8, payload: &[u8]) -> Result<Vec<u8>, Transp
         }
         wire::OP_SEARCH => {
             let (k, queries) = wire::decode_search_req(payload)?;
-            let delay = state.delay_ns.load(Ordering::Relaxed);
-            if delay > 0 {
-                // Sleep before taking the lock so a slowed node still
-                // serves concurrent connections concurrently.
-                std::thread::sleep(std::time::Duration::from_nanos(delay));
-            }
             let guard = state.index.read().expect("node index lock");
             let ix = guard.as_ref().ok_or(TransportError::NoIndex)?;
             if ix.dim() == 0 || !queries.len().is_multiple_of(ix.dim()) {
@@ -213,13 +203,28 @@ fn dispatch(state: &NodeState, op: u8, payload: &[u8]) -> Result<Vec<u8>, Transp
             // all — symmetric with OP_INSTALL.
             Ok(snapshot::encode_file(family, &blob))
         }
-        wire::OP_DELAY => {
-            let mut r = SnapshotReader::new(payload);
-            let ns = r.get_u64()?;
-            r.finish()?;
-            state.delay_ns.store(ns, Ordering::Relaxed);
-            Ok(Vec::new())
-        }
         _ => Err(TransportError::Corrupt("unknown request opcode")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_opcodes_get_an_error_frame_and_keep_the_connection() {
+        let mut stream = TcpStream::connect(spawn_loopback().unwrap()).unwrap();
+        let want = wire::encode_err(&TransportError::Corrupt("unknown request opcode"));
+        // 0 is below the assigned request codes, 10 is the first one past
+        // them, 255 is the last byte value.
+        for op in [0u8, 10, 255] {
+            wire::write_frame(&mut stream, op, &[]).unwrap();
+            let (resp, payload) = wire::read_frame(&mut stream).unwrap();
+            assert_eq!(resp, wire::RESP_ERR, "opcode {op}");
+            assert_eq!(payload, want, "opcode {op}");
+        }
+        // The stream stayed frame-aligned: the same connection still serves.
+        wire::write_frame(&mut stream, wire::OP_PING, &[]).unwrap();
+        assert_eq!(wire::read_frame(&mut stream).unwrap(), (wire::RESP_OK, Vec::new()));
     }
 }

@@ -8,7 +8,6 @@ use crate::snapshot::{self, SnapshotReader, SnapshotWriter};
 use crate::topk::Hit;
 use std::net::TcpStream;
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// A shard served by a `shardd` node over TCP.
 ///
@@ -95,14 +94,6 @@ impl RemoteShard {
     /// Liveness check: one empty round trip.
     pub fn ping(&self) -> Result<(), TransportError> {
         self.call(wire::OP_PING, &[]).map(|_| ())
-    }
-
-    /// Test/bench hook: make every search on the node sleep `delay`
-    /// first — a deterministically slow replica for hedging scenarios.
-    pub fn set_artificial_delay(&self, delay: Duration) -> Result<(), TransportError> {
-        let mut w = SnapshotWriter::new();
-        w.put_u64(delay.as_nanos() as u64);
-        self.call(wire::OP_DELAY, &w.into_bytes()).map(|_| ())
     }
 }
 

@@ -39,10 +39,6 @@ pub(crate) const OP_KNOB_GET: u8 = 6;
 pub(crate) const OP_KNOB_SET: u8 = 7;
 pub(crate) const OP_SNAPSHOT: u8 = 8;
 pub(crate) const OP_INFO: u8 = 9;
-/// Test/bench hook: add an artificial per-search delay on the node —
-/// how the transport bench manufactures a deterministically slow
-/// replica for the hedging gate.
-pub(crate) const OP_DELAY: u8 = 10;
 
 pub(crate) const RESP_OK: u8 = 0x80;
 pub(crate) const RESP_ERR: u8 = 0x81;

@@ -267,8 +267,8 @@ fn main() {
         ("products", format!("[{}]", rows.join(","))),
         ("transcendentals", format!("[{}]", trans_rows.join(","))),
     ]);
-    // Anchored to the workspace root like BENCH_ann.json: cargo runs bench
-    // binaries from the package directory.
+    // Anchored to the workspace root: cargo runs bench binaries from the
+    // package directory.
     let dir = std::env::var("REPRO_OUT")
         .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../results").into());
     let path = std::path::Path::new(&dir).join("BENCH_tensor.json");
@@ -280,7 +280,7 @@ fn main() {
 
     // With dispatch already scalar (no SIMD host, or DIAL_FORCE_SCALAR)
     // both columns time the same code and only scheduler noise separates
-    // them, so the floor loosens as annbench's does.
+    // them, so the floor loosens.
     let floor = if simd == "scalar" { 0.8 } else { 1.0 };
     assert!(
         gflops >= floor * gflops_scalar,

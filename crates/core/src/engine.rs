@@ -239,7 +239,7 @@ fn mean_cosine_shift(old: &[f32], new: &[f32], dim: usize) -> f64 {
 /// Recall@k of `hits` against the exact ground truth `truth` (id overlap
 /// per query, averaged over the sample; per-query denominator is
 /// `min(k, |truth|)`). The one recall definition shared by the engine's
-/// calibration stage and the bench harness's regression gate — they must
+/// calibration stage and `dialbench`'s `ibc_scale` workload — they must
 /// never measure differently.
 pub fn recall_at_k(hits: &[Vec<Hit>], truth: &[Vec<Hit>], k: usize) -> f64 {
     let mut overlap = 0usize;
@@ -1148,6 +1148,12 @@ mod tests {
         assert!(a.chosen_width <= a.ceiling);
         assert!(a.steps.iter().any(|s| s.width == a.static_width), "floor must be measured");
         assert!(a.calibrate_secs > 0.0);
+        // The recall the sweep reads: the truth scores 1 against itself,
+        // and a list that keeps half of its ids scores 0.5.
+        let truth = vec![vec![Hit { id: 1, distance: 0.1 }, Hit { id: 2, distance: 0.2 }]];
+        let half = vec![vec![Hit { id: 9, distance: 0.1 }, Hit { id: 2, distance: 0.2 }]];
+        assert_eq!(recall_at_k(&truth, &truth, 2), 1.0);
+        assert_eq!(recall_at_k(&half, &truth, 2), 0.5);
     }
 
     #[test]

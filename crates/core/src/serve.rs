@@ -1035,8 +1035,10 @@ mod tests {
         assert_eq!(svc.submit(q[2].clone(), 1, None).err(), Some(ServeError::Overloaded));
         let s = svc.stats();
         assert_eq!((s.submitted, s.rejected), (3, 1));
-        // Draining frees the queue for new admissions.
+        // Draining frees the queue for new admissions, and the rejected
+        // request closes the books next to the two served ones.
         svc.pump();
+        assert!(svc.stats().accounting_closes(), "{:?}", svc.stats());
         assert!(svc.submit(q[2].clone(), 1, None).is_ok());
     }
 
