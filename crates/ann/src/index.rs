@@ -491,7 +491,7 @@ impl IndexSpec {
         rows: RowFormat,
     ) -> Result<Box<dyn AnnIndex>, SnapshotError> {
         let (family, payload) = snapshot::read_file(path)?;
-        self.load_payload(family, &payload, dim, metric, rows)
+        self.load_blob(family, &payload, dim, metric, rows)
     }
 
     /// [`IndexSpec::load_snapshot`] over an in-memory
@@ -501,22 +501,10 @@ impl IndexSpec {
     /// The serving layer uses this to duplicate an engine member for a
     /// hot swap without detaching it, and the same spec-validation rules
     /// as the file path apply (a blob written under a different
-    /// configuration is rejected, never served).
+    /// configuration is rejected, never served). The file loaders, the
+    /// member loader and the sharded manifest's per-child recursion all
+    /// decode through here.
     pub fn load_blob(
-        &self,
-        family: u8,
-        payload: &[u8],
-        dim: usize,
-        metric: Metric,
-        rows: RowFormat,
-    ) -> Result<Box<dyn AnnIndex>, SnapshotError> {
-        self.load_payload(family, payload, dim, metric, rows)
-    }
-
-    /// [`IndexSpec::load_snapshot`] over an already-decoded tagged
-    /// payload (what the member loader and the sharded manifest recurse
-    /// through).
-    pub(crate) fn load_payload(
         &self,
         family: u8,
         payload: &[u8],
@@ -626,7 +614,7 @@ impl IndexSpec {
                 for _ in 0..stored_shards {
                     let child_family = r.get_u8()?;
                     let child_payload = r.get_u8_slice()?;
-                    children.push(inner.load_payload(
+                    children.push(inner.load_blob(
                         child_family,
                         &child_payload,
                         dim,
@@ -660,7 +648,7 @@ impl IndexSpec {
             });
         }
         let (member_rows, child_family, child_payload) = snapshot::parse_member(&payload)?;
-        let ix = self.load_payload(child_family, &child_payload, dim, metric, rows)?;
+        let ix = self.load_blob(child_family, &child_payload, dim, metric, rows)?;
         if member_rows.len() != ix.len() * dim {
             return Err(SnapshotError::Corrupt("member rows do not match index length"));
         }

@@ -85,10 +85,17 @@ pub const QUERY_BLOCK: usize = 8;
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]
     if simd_level() == SimdLevel::Avx2 {
+        // SAFETY: `simd_level` reports Avx2 only when the CPU has it; the
+        // vector loads read `a.len()` rounded down to 8 elements of each
+        // slice, in bounds for the equal-length pair the kernel contract
+        // requires.
         return unsafe { avx2::dot(a, b) };
     }
     #[cfg(target_arch = "aarch64")]
     if simd_level() == SimdLevel::Neon {
+        // SAFETY: NEON is baseline on aarch64; the loads read `a.len()`
+        // rounded down to 8 elements of each slice, in bounds for an
+        // equal-length pair.
         return unsafe { neon::dot(a, b) };
     }
     dot_scalar(a, b)
@@ -163,10 +170,15 @@ pub fn sq_l2_batch(
 ) {
     #[cfg(target_arch = "x86_64")]
     if simd_level() == SimdLevel::Avx2 {
+        // SAFETY: `simd_level` reports Avx2 only when the CPU has it; the
+        // tile cuts query and row slices to `dim` by checked indexing before
+        // any load.
         return unsafe { avx2::sq_l2_batch(queries, q_sq, rows, r_sq, dim, out) };
     }
     #[cfg(target_arch = "aarch64")]
     if simd_level() == SimdLevel::Neon {
+        // SAFETY: NEON is baseline on aarch64; queries and rows both come
+        // from `chunks_exact(dim)`, so every dot sees an equal-length pair.
         return unsafe { neon::sq_l2_batch(queries, q_sq, rows, r_sq, dim, out) };
     }
     sq_l2_batch_scalar(queries, q_sq, rows, r_sq, dim, out)
@@ -211,10 +223,15 @@ pub fn cosine_batch(
 ) {
     #[cfg(target_arch = "x86_64")]
     if simd_level() == SimdLevel::Avx2 {
+        // SAFETY: `simd_level` reports Avx2 only when the CPU has it; the
+        // tile cuts query and row slices to `dim` by checked indexing before
+        // any load.
         return unsafe { avx2::cosine_batch(queries, q_n, rows, r_n, dim, out) };
     }
     #[cfg(target_arch = "aarch64")]
     if simd_level() == SimdLevel::Neon {
+        // SAFETY: NEON is baseline on aarch64; queries and rows both come
+        // from `chunks_exact(dim)`, so every dot sees an equal-length pair.
         return unsafe { neon::cosine_batch(queries, q_n, rows, r_n, dim, out) };
     }
     cosine_batch_scalar(queries, q_n, rows, r_n, dim, out)
@@ -282,6 +299,9 @@ pub fn distance_batch_rows(
         RowsView::F16(r) => {
             #[cfg(target_arch = "x86_64")]
             if simd_level() == SimdLevel::Avx2 && dial_simd::has_f16c() {
+                // SAFETY: AVX2 and F16C are both checked at runtime just
+                // above; the tile cuts query and row slices to `dim` by
+                // checked indexing before any load.
                 return unsafe {
                     avx2::distance_batch_f16(metric, queries, q_norms, r, r_norms, dim, out)
                 };
@@ -291,6 +311,9 @@ pub fn distance_batch_rows(
         RowsView::Bf16(r) => {
             #[cfg(target_arch = "x86_64")]
             if simd_level() == SimdLevel::Avx2 {
+                // SAFETY: `simd_level` reports Avx2 only when the CPU has it;
+                // the tile cuts query and row slices to `dim` by checked
+                // indexing before any load.
                 return unsafe {
                     avx2::distance_batch_bf16(metric, queries, q_norms, r, r_norms, dim, out)
                 };
@@ -367,12 +390,19 @@ pub fn distance_gather(
 ) {
     #[cfg(target_arch = "x86_64")]
     if simd_level() == SimdLevel::Avx2 {
+        // SAFETY: `simd_level` reports Avx2 only when the CPU has it; each
+        // gathered row is cut to `dim` by checked indexing, and the loads
+        // read `query.len()` of it — in bounds for the `dim`-wide query the
+        // kernel contract requires.
         return unsafe {
             avx2::distance_gather(metric, query, q_norm, data, r_norms, dim, ids, out)
         };
     }
     #[cfg(target_arch = "aarch64")]
     if simd_level() == SimdLevel::Neon {
+        // SAFETY: NEON is baseline on aarch64; each gathered row is cut to
+        // `dim` by checked indexing, and the loads read `query.len()` of it —
+        // in bounds for the `dim`-wide query the kernel contract requires.
         return unsafe {
             neon::distance_gather(metric, query, q_norm, data, r_norms, dim, ids, out)
         };
@@ -426,6 +456,8 @@ pub fn distance_gather_scalar(
 pub fn argmin(dists: &[f32]) -> usize {
     #[cfg(target_arch = "x86_64")]
     if simd_level() == SimdLevel::Avx2 {
+        // SAFETY: `simd_level` reports Avx2 only when the CPU has it; the
+        // loads stay below `dists.len()` rounded down to 8.
         return unsafe { avx2::argmin(dists) };
     }
     argmin_scalar(dists)
@@ -461,6 +493,8 @@ mod avx2 {
     use crate::rowstore::{bf16_to_f32, f16_to_f32};
     use std::arch::x86_64::*;
 
+    // SAFETY: callers guarantee AVX2 and `b.len() >= a.len()`; loads stop at
+    // `a.len()` rounded down to 8.
     #[inline]
     #[target_feature(enable = "avx2")]
     pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -481,6 +515,8 @@ mod avx2 {
     /// chains. Each chain reduces exactly like the one-accumulator
     /// [`dot`] (same shape, same tail), so unrolling changes nothing
     /// bitwise — only the latency the chains hide from each other.
+    // SAFETY: callers guarantee AVX2 and that every row is at least `q.len()`
+    // long; loads stop at `q.len()` rounded down to 8.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn dot4(q: &[f32], r0: &[f32], r1: &[f32], r2: &[f32], r3: &[f32]) -> [f32; 4] {
@@ -509,6 +545,8 @@ mod avx2 {
 
     /// Widening f16 dot: `vcvtph2ps` computes exactly
     /// [`f16_to_f32`], so chunks and tail agree bitwise.
+    // SAFETY: callers guarantee AVX2 + F16C and `r.len() >= q.len()`; each
+    // 8-wide u16 load stops at `q.len()` rounded down to 8.
     #[inline]
     #[target_feature(enable = "avx2,f16c")]
     unsafe fn dot_f16(q: &[f32], r: &[u16]) -> f32 {
@@ -526,6 +564,8 @@ mod avx2 {
     }
 
     /// Four-row [`dot_f16`] — same independent-chain unroll as [`dot4`].
+    // SAFETY: callers guarantee AVX2 + F16C and that every row is at least
+    // `q.len()` long; loads stop at `q.len()` rounded down to 8.
     #[inline]
     #[target_feature(enable = "avx2,f16c")]
     unsafe fn dot4_f16(q: &[f32], r0: &[u16], r1: &[u16], r2: &[u16], r3: &[u16]) -> [f32; 4] {
@@ -558,6 +598,8 @@ mod avx2 {
 
     /// Widening bf16 dot: zero-extend each u16 into the high half of an
     /// f32 — exactly [`bf16_to_f32`].
+    // SAFETY: callers guarantee AVX2 and `r.len() >= q.len()`; each 8-wide
+    // u16 load stops at `q.len()` rounded down to 8.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn dot_bf16(q: &[f32], r: &[u16]) -> f32 {
@@ -574,6 +616,7 @@ mod avx2 {
         reduce_with_tail_u16(acc, &q[split..], &r[split..], bf16_to_f32)
     }
 
+    // SAFETY: register-only; callers guarantee AVX2.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn widen_bf16(half: __m128i) -> __m256 {
@@ -581,6 +624,8 @@ mod avx2 {
     }
 
     /// Four-row [`dot_bf16`] — same independent-chain unroll as [`dot4`].
+    // SAFETY: callers guarantee AVX2 and that every row is at least `q.len()`
+    // long; loads stop at `q.len()` rounded down to 8.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn dot4_bf16(q: &[f32], r0: &[u16], r1: &[u16], r2: &[u16], r3: &[u16]) -> [f32; 4] {
@@ -613,6 +658,8 @@ mod avx2 {
 
     /// Store the accumulator and reduce exactly like the scalar kernel:
     /// lanes in index order, then the scalar tail.
+    // SAFETY: callers guarantee AVX2; the one store writes the 8-lane local
+    // `lanes` array.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn reduce_with_tail(acc: __m256, ta: &[f32], tb: &[f32]) -> f32 {
@@ -630,6 +677,8 @@ mod avx2 {
 
     /// [`reduce_with_tail`] for packed half-width rows: the tail decodes
     /// each component with the same widening the vector body used.
+    // SAFETY: callers guarantee AVX2; the one store writes the 8-lane local
+    // `lanes` array.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn reduce_with_tail_u16(
@@ -673,6 +722,8 @@ mod avx2 {
         }
     }
 
+    // SAFETY: callers guarantee AVX2; every slice handed to `dot`/`dot4` is
+    // cut to `dim` by checked indexing, so each pair is equal-length.
     #[target_feature(enable = "avx2")]
     pub unsafe fn sq_l2_batch(
         queries: &[f32],
@@ -713,6 +764,8 @@ mod avx2 {
         }
     }
 
+    // SAFETY: callers guarantee AVX2; every slice handed to `dot`/`dot4` is
+    // cut to `dim` by checked indexing, so each pair is equal-length.
     #[target_feature(enable = "avx2")]
     pub unsafe fn cosine_batch(
         queries: &[f32],
@@ -757,6 +810,8 @@ mod avx2 {
         }
     }
 
+    // SAFETY: callers guarantee AVX2 and `query.len() == dim`; every gathered
+    // row is cut to `dim` by checked indexing.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     pub unsafe fn distance_gather(
@@ -793,6 +848,8 @@ mod avx2 {
         }
     }
 
+    // SAFETY: callers guarantee AVX2 + F16C; queries and rows are cut to
+    // `dim` by checked indexing, so each pair is equal-length.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,f16c")]
     pub unsafe fn distance_batch_f16(
@@ -835,6 +892,8 @@ mod avx2 {
         }
     }
 
+    // SAFETY: callers guarantee AVX2; queries and rows are cut to `dim` by
+    // checked indexing, so each pair is equal-length.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     pub unsafe fn distance_batch_bf16(
@@ -881,6 +940,8 @@ mod avx2 {
     /// first index holding the chunk minimum, then the scalar tail.
     /// `_mm256_min_ps(x, acc)` returns `acc` when `x` is NaN (the
     /// comparison is false), matching the scalar `d < best` skip.
+    // SAFETY: callers guarantee AVX2; loads stop at `dists.len()` rounded
+    // down to 8, and the one store writes the local `lanes` array.
     #[target_feature(enable = "avx2")]
     pub unsafe fn argmin(dists: &[f32]) -> usize {
         let split = dists.len() - dists.len() % LANES;
@@ -934,6 +995,8 @@ mod neon {
     use super::{Metric, LANES};
     use std::arch::aarch64::*;
 
+    // SAFETY: NEON is baseline on aarch64; callers guarantee `b.len() >=
+    // a.len()`, and loads stop at `a.len()` rounded down to 8.
     #[inline]
     pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
         debug_assert_eq!(a.len(), b.len());
@@ -963,6 +1026,8 @@ mod neon {
         s
     }
 
+    // SAFETY: NEON is baseline on aarch64; both sides come from
+    // `chunks_exact(dim)`, so every `dot` pair is equal-length.
     pub unsafe fn sq_l2_batch(
         queries: &[f32],
         q_sq: &[f32],
@@ -985,6 +1050,8 @@ mod neon {
         }
     }
 
+    // SAFETY: NEON is baseline on aarch64; both sides come from
+    // `chunks_exact(dim)`, so every `dot` pair is equal-length.
     pub unsafe fn cosine_batch(
         queries: &[f32],
         q_n: &[f32],
@@ -1006,6 +1073,8 @@ mod neon {
         }
     }
 
+    // SAFETY: NEON is baseline on aarch64; callers guarantee `query.len() ==
+    // dim`, and every gathered row is cut to `dim` by checked indexing.
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn distance_gather(
         metric: Metric,

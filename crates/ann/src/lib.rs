@@ -45,6 +45,8 @@
 //! [`kmeans`] (with k-means++ seeding) is exported for reuse by the BADGE
 //! selector in `dial-core`.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod flat;
 pub mod hnsw;
 pub mod index;

@@ -112,14 +112,16 @@ impl From<std::io::Error> for SnapshotError {
 
 /// FNV-1a 64-bit offset basis: `fnv1a64(FNV_BASIS, bytes)` hashes
 /// `bytes`.
-pub(crate) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a 64-bit, streaming: fold `bytes` into the running hash `h`
 /// (seed with [`FNV_BASIS`]; folding runs in order equals hashing their
-/// concatenation). The one checksum of snapshot files and wire frames —
-/// no external crates, stable across platforms, and plenty for
-/// corruption detection (not cryptographic).
-pub(crate) fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
+/// concatenation). The one FNV of the workspace: the checksum of snapshot
+/// files and wire frames, and `dial-core`'s result-cache key — no
+/// external crates, stable across platforms, and plenty for corruption
+/// detection and bucketing (not cryptographic).
+#[inline]
+pub fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);

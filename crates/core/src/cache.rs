@@ -25,6 +25,7 @@
 //! key hash) so concurrent dispatch workers do not serialize on one
 //! mutex.
 
+use dial_ann::snapshot::{fnv1a64, FNV_BASIS};
 use dial_ann::Hit;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -40,20 +41,8 @@ const ENTRY_OVERHEAD: usize = 96;
 /// key. Never trusted alone: every hit is verified bitwise against the
 /// stored query (see the module docs).
 pub fn key_hash(query: &[f32], k: usize) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |byte: u8| {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for &x in query {
-        for b in x.to_bits().to_le_bytes() {
-            eat(b);
-        }
-    }
-    for b in (k as u64).to_le_bytes() {
-        eat(b);
-    }
-    h
+    let h = query.iter().fold(FNV_BASIS, |h, x| fnv1a64(h, &x.to_bits().to_le_bytes()));
+    fnv1a64(h, &(k as u64).to_le_bytes())
 }
 
 /// Bit-pattern equality of two query vectors (`to_bits`, not `==`): the
@@ -392,5 +381,13 @@ mod tests {
         assert_ne!(key_hash(&[1.0], 1), key_hash(&[1.0], 2));
         assert_ne!(key_hash(&[0.0], 1), key_hash(&[-0.0], 1));
         assert_eq!(key_hash(&[1.5, 2.5], 3), key_hash(&[1.5, 2.5], 3));
+    }
+
+    #[test]
+    fn key_hash_values_are_pinned() {
+        // Shard placement and the serving benchmarks key through these
+        // exact values; a hashing refactor must not move them.
+        assert_eq!(key_hash(&[1.0, -2.5, 0.25], 10), 0xb889_d609_73fc_f968);
+        assert_eq!(key_hash(&[-0.0, 0.0, 3.5], 1), 0x7c6a_f074_230a_e5b4);
     }
 }

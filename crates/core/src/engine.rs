@@ -30,20 +30,24 @@
 //!    new rows.
 //!
 //! 2. **Pipelined build/probe.** Member indexes stream from a builder
-//!    thread to the probing thread through a bounded SPSC channel
-//!    ([`rayon::pipeline`]), so member *i*'s (sharded, parallel) build
-//!    overlaps member *i−1*'s `search_batch` probes — the dominant
-//!    latency term is hidden instead of shrunk. Per-member hit lists are
-//!    kept in member-id-tagged slots and concatenated in member order
-//!    before the [`CandidateSet::from_scored`] merge, so the pipelined
-//!    candidate set is identical to the sequential one
-//!    (`pipeline_depth = 0` runs the strictly sequential path).
+//!    thread to the probing thread through a bounded FIFO channel
+//!    (`std::sync::mpsc::sync_channel` of capacity `pipeline_depth`), so
+//!    member *i*'s (sharded, parallel) build overlaps member *i−1*'s
+//!    `search_batch` probes — the dominant latency term is hidden instead
+//!    of shrunk. Per-member hit lists are kept in member-id-tagged slots
+//!    and concatenated in member order before the
+//!    [`CandidateSet::from_scored`] merge, so the pipelined candidate set
+//!    is identical to the sequential one (`pipeline_depth = 0` runs the
+//!    strictly sequential path, so a zero-capacity rendezvous channel is
+//!    never built). A builder that panics drops its sender on unwind: the
+//!    probing loop drains what was sent and the scope re-raises the
+//!    panic, so a failed build ends the round loudly, never in a hang.
 
 use crate::candidates::{probe_blocked, Candidate, CandidateSet};
 use crate::encode::ListEmbeddings;
 use dial_ann::{save_member_blob, AnnIndex, FlatIndex, Hit, IndexSpec, Metric, RowFormat};
-use rayon::pipeline;
 use std::path::PathBuf;
+use std::sync::mpsc::sync_channel;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -863,7 +867,7 @@ impl RetrievalEngine {
             let rows = self.rows;
             let had_prev: Vec<bool> = prev.iter().map(Option::is_some).collect();
             std::thread::scope(|s| {
-                let (tx, rx) = pipeline::bounded(self.pipeline_depth);
+                let (tx, rx) = sync_channel(self.pipeline_depth);
                 s.spawn(move || {
                     for (m, view) in views_r.iter().enumerate() {
                         let pre = if m == 0 { prebuilt0.take() } else { None };
@@ -1062,6 +1066,24 @@ mod tests {
             let (pip_a, pip_b) = run(depth);
             assert_eq!(seq_a.pairs(), pip_a.pairs(), "depth={depth} round 0");
             assert_eq!(seq_b.pairs(), pip_b.pairs(), "depth={depth} round 1");
+        }
+    }
+
+    #[test]
+    fn failed_member_build_panics_the_pipelined_round_instead_of_hanging() {
+        // Member 1's view is one value short of whole rows, so the builder
+        // thread trips `build_rows`' packed-length check after member 0
+        // went through. Its sender drops on unwind: the probing loop
+        // drains member 0, sees the channel close, and the scope re-raises.
+        let mut vr = views(30, 3, 20);
+        let vs = views(12, 3, 21);
+        vr[1].pop();
+        for depth in [1usize, 2] {
+            let mut engine = RetrievalEngine::new(IndexSpec::Flat, 0.0, depth);
+            let round = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.retrieve_committee(&vr, &vs, DIM, 3, 200)
+            }));
+            assert!(round.is_err(), "depth={depth}: a failed member build must panic");
         }
     }
 

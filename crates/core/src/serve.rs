@@ -6,12 +6,13 @@
 //! sharded scatter-gather, snapshot warm start — is only exercised by
 //! batch AL rounds. [`QueryService`] turns those kernels into a serving
 //! front: single-query requests from many client threads flow into one
-//! **bounded admission queue** (the MPSC variant of the engine's pipeline
-//! channel), get **coalesced** into blocks of up to
-//! [`ServeConfig::batch_max`] queries (default [`ADMISSION_BLOCK`], the
-//! probe-side blocking unit), and hit [`AnnIndex::search_batch`] — whose
-//! inner loops run on the work-stealing executor, so `--threads=N` (or
-//! `RAYON_NUM_THREADS`) sizes the compute under every worker.
+//! **bounded admission queue** (a `std::sync::mpsc::sync_channel`, the
+//! same primitive as the engine's build/probe pipeline), get
+//! **coalesced** into blocks of up to [`ServeConfig::batch_max`] queries
+//! (default [`ADMISSION_BLOCK`], the probe-side blocking unit), and hit
+//! [`AnnIndex::search_batch`] — whose inner loops run on the
+//! work-stealing executor, so `--threads=N` (or `RAYON_NUM_THREADS`)
+//! sizes the compute under every worker.
 //!
 //! Load-control mechanisms, in the order a request meets them:
 //!
@@ -73,9 +74,9 @@
 
 use crate::cache::{bits_eq, key_hash, CacheLookup, ResultCache};
 use dial_ann::{AnnIndex, Hit, Knob, ShardStatsSnapshot};
-use rayon::pipeline::{self, TryRecvError, TrySendError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -587,8 +588,8 @@ pub struct QueryService {
     inner: Arc<Inner>,
     /// `None` once shutdown began (dropping the last sender closes the
     /// queue and lets workers drain out).
-    tx: Option<pipeline::Sender<Request>>,
-    rx: Arc<Mutex<pipeline::Receiver<Request>>>,
+    tx: Option<SyncSender<Request>>,
+    rx: Arc<Mutex<Receiver<Request>>>,
     workers: Vec<JoinHandle<()>>,
     /// Applied to requests submitted without a deadline; read only at
     /// submit time, on the caller's thread.
@@ -614,7 +615,7 @@ impl QueryService {
         cfg: ServeConfig,
         clock: Arc<dyn ServeClock>,
     ) -> Self {
-        let (tx, rx) = pipeline::bounded::<Request>(cfg.queue_capacity.max(1));
+        let (tx, rx) = sync_channel::<Request>(cfg.queue_capacity.max(1));
         let cache =
             (cfg.cache_entries > 0).then(|| ResultCache::new(cfg.cache_entries, cfg.cache_bytes));
         let inner = Arc::new(Inner {
@@ -819,7 +820,7 @@ impl QueryService {
     }
 
     fn close(&mut self) {
-        // Dropping the last Sender closes the queue: worker `recv` ends
+        // Dropping the only sender closes the queue: worker `recv` ends
         // after the drain.
         self.tx = None;
         if self.workers.is_empty() {
@@ -837,7 +838,7 @@ impl Drop for QueryService {
     }
 }
 
-fn worker_loop(inner: &Inner, rx: &Mutex<pipeline::Receiver<Request>>) {
+fn worker_loop(inner: &Inner, rx: &Mutex<Receiver<Request>>) {
     loop {
         let batch = take_batch(rx, inner.batch_max, true);
         if batch.is_empty() {
@@ -852,31 +853,13 @@ fn worker_loop(inner: &Inner, rx: &Mutex<pipeline::Receiver<Request>>) {
 /// already queued, up to `batch_max`. Holding the receiver lock across
 /// the grab means exactly one worker forms each batch; the scan itself
 /// runs unlocked.
-fn take_batch(
-    rx: &Mutex<pipeline::Receiver<Request>>,
-    batch_max: usize,
-    block: bool,
-) -> Vec<Request> {
+fn take_batch(rx: &Mutex<Receiver<Request>>, batch_max: usize, block: bool) -> Vec<Request> {
     let rx = rx.lock().unwrap();
-    let first = if block {
-        match rx.recv() {
-            Some(r) => r,
-            None => return Vec::new(),
-        }
-    } else {
-        match rx.try_recv() {
-            Ok(r) => r,
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => return Vec::new(),
-        }
-    };
+    let first = if block { rx.recv().ok() } else { rx.try_recv().ok() };
+    let Some(first) = first else { return Vec::new() };
     let mut batch = Vec::with_capacity(batch_max);
     batch.push(first);
-    while batch.len() < batch_max {
-        match rx.try_recv() {
-            Ok(r) => batch.push(r),
-            Err(_) => break,
-        }
-    }
+    batch.extend(rx.try_iter().take(batch_max - 1));
     batch
 }
 
@@ -1093,6 +1076,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn concurrent_submitters_each_get_their_own_bitwise_answer() {
+        // Many producers on one admission queue: every client thread's
+        // requests are delivered, served, and answered with exactly its
+        // own query's direct `search`, however the submits interleave.
+        let dim = 8;
+        let reference = flat(200, dim, 30);
+        let svc = QueryService::new(
+            Box::new(flat(200, dim, 30)),
+            ServeConfig {
+                queue_capacity: 128,
+                batch_max: 8,
+                workers: 2,
+                default_deadline: None,
+                ..ServeConfig::default()
+            },
+        );
+        std::thread::scope(|s| {
+            for client in 0..4u64 {
+                let (svc, reference) = (&svc, &reference);
+                s.spawn(move || {
+                    let qs = queries(25, dim, 31 + client);
+                    let tickets: Vec<Ticket> =
+                        qs.iter().map(|q| svc.submit(q.clone(), 3, None).unwrap()).collect();
+                    for (q, t) in qs.iter().zip(tickets) {
+                        let got = t.wait().unwrap().hits;
+                        let want = reference.search(q, 3);
+                        assert_eq!(got.len(), want.len(), "client {client}");
+                        for (g, w) in got.iter().zip(&want) {
+                            assert_eq!((g.id, g.distance.to_bits()), (w.id, w.distance.to_bits()));
+                        }
+                    }
+                });
+            }
+        });
+        let stats = svc.shutdown();
+        assert_eq!(stats.served, 100);
+        assert!(stats.accounting_closes(), "{stats:?}");
     }
 
     #[test]

@@ -52,7 +52,6 @@ enum Op {
         tanh: Vec<f32>,
     },
     Relu(Var),
-    Sigmoid(Var),
     Abs(Var),
     /// Element-wise `sqrt(x + eps)` (eps keeps the gradient finite at 0).
     SqrtEps(Var, f32),
@@ -252,12 +251,6 @@ impl Graph {
         let mut v = self.value(a).clone();
         v.as_mut_slice().iter_mut().for_each(|x| *x = x.max(0.0));
         self.push(Op::Relu(a), v)
-    }
-
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        let mut v = self.value(a).clone();
-        kernels::sigmoid_slice(v.as_mut_slice());
-        self.push(Op::Sigmoid(a), v)
     }
 
     pub fn abs(&mut self, a: Var) -> Var {
@@ -583,13 +576,6 @@ impl Graph {
                     if *inp <= 0.0 {
                         *x = 0.0;
                     }
-                }
-                acc(grads, *a, da);
-            }
-            Op::Sigmoid(a) => {
-                let mut da = g.clone();
-                for (x, y) in da.as_mut_slice().iter_mut().zip(node.value.as_slice()) {
-                    *x *= y * (1.0 - y);
                 }
                 acc(grads, *a, da);
             }

@@ -71,6 +71,8 @@
 //! assert!((store.value(w).item() - 2.0).abs() < 1e-3);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod graph;
 pub mod init;
 pub mod kernels;

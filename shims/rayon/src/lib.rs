@@ -1,12 +1,17 @@
-//! Offline stand-in for `rayon`: the data-parallel iterator subset this
-//! workspace uses, as *lazily fused* pipelines executed chunk-wise on
-//! scoped `std::thread` workers.
+//! Offline stand-in for `rayon`: it mirrors exactly the rayon subset this
+//! workspace calls — `par_iter`, `par_chunks`, `into_par_iter`, the
+//! `map` / `filter` / `flat_map_iter` / `zip` adapters, `collect`, and
+//! `current_num_threads` / `set_num_threads` — as *lazily fused*
+//! pipelines executed chunk-wise on scoped `std::thread` workers. Nothing
+//! beyond that subset is carried: an adapter with no caller is deleted,
+//! not kept in reserve. Bounded channels (the engine's build/probe
+//! pipeline, the serving admission queue) are
+//! `std::sync::mpsc::sync_channel`, not part of this crate.
 //!
 //! Unlike the first-generation shim (which evaluated every adapter eagerly
 //! and materialized a `Vec` between stages), adapters here build a fused
 //! pipeline: `par_iter().map(f).filter(p).map(g)` composes one per-item
-//! function and nothing runs until a terminal operation (`collect`,
-//! `for_each`, `count`, `sum`) drives it.
+//! function and nothing runs until the terminal `collect` drives it.
 //!
 //! Execution is a **work-stealing chunk queue**: the source index range is
 //! cut into many fixed-size half-open chunks ([`CHUNKS_PER_THREAD`] per
@@ -18,22 +23,17 @@
 //! drain the queue behind it. Each chunk's result lands in a dedicated
 //! slot and the results are combined **in chunk order** after all workers
 //! join. Chunk boundaries depend only on `n` and the worker count, never
-//! on timing, so output order is preserved and float reductions are
-//! deterministic for a fixed `(n, thread count)` — run-to-run and
-//! machine-to-machine, like the static-partitioning driver this replaced.
-//! (The chunk *geometry* is finer than the old one-range-per-thread
-//! split, so a parallel `sum()` can differ from the pre-work-stealing
-//! driver in final-ulp rounding; the determinism guarantee carries over,
-//! not bitwise equality with the old combine order.)
+//! on timing, so output order is preserved for a fixed `(n, thread
+//! count)` — run-to-run and machine-to-machine.
 //!
-//! `RAYON_NUM_THREADS` (or `DIAL_NUM_THREADS`) overrides the worker count;
-//! `1` forces sequential execution.
+//! `RAYON_NUM_THREADS` overrides the worker count; `1` forces sequential
+//! execution.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-pub mod pipeline;
 
 pub mod prelude {
     pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParIter, ParallelSlice};
@@ -46,21 +46,18 @@ static THREADS: OnceLock<usize> = OnceLock::new();
 /// Worker count: env override or `available_parallelism`.
 pub fn current_num_threads() -> usize {
     *THREADS.get_or_init(|| {
-        for var in ["RAYON_NUM_THREADS", "DIAL_NUM_THREADS"] {
-            if let Some(n) = std::env::var(var).ok().and_then(|v| v.parse::<usize>().ok()) {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        std::env::var("RAYON_NUM_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
     })
 }
 
 /// Pin the worker count programmatically (the `repro --threads=N` flag),
-/// overriding `RAYON_NUM_THREADS`/`DIAL_NUM_THREADS`. The count is
-/// resolved once for the process lifetime, so this must run before the
-/// first parallel operation reads it; `n` is clamped to at least 1.
+/// overriding `RAYON_NUM_THREADS`. The count is resolved once for the
+/// process lifetime, so this must run before the first parallel
+/// operation reads it; `n` is clamped to at least 1.
 /// Returns the count now in force — equal to `n` when the call landed in
 /// time, the previously resolved count when it came too late.
 pub fn set_num_threads(n: usize) -> usize {
@@ -150,6 +147,8 @@ pub struct OwnedSource<T> {
     cells: Vec<UnsafeCell<Option<T>>>,
 }
 
+// SAFETY: each cell is taken by the one worker whose chunk claim covers
+// its index (see above); `T: Send` lets the item move to that worker.
 unsafe impl<T: Send> Sync for OwnedSource<T> {}
 
 impl<T> OwnedSource<T> {
@@ -226,6 +225,8 @@ const CHUNKS_PER_THREAD: usize = 8;
 /// readers only run after `thread::scope` has joined every worker.
 struct Slots<R>(Vec<UnsafeCell<Option<R>>>);
 
+// SAFETY: slot writes are disjoint per claimed chunk and reads follow the
+// scope's join (see above); `R: Send` lets results cross threads.
 unsafe impl<R: Send> Sync for Slots<R> {}
 
 /// Work-stealing driver core: cut `0..n` into `n_chunks` fixed-size
@@ -322,16 +323,6 @@ impl<G: Gen> ParIter<G> {
         Self::ready(nested.into_iter().flatten().collect())
     }
 
-    /// Flatten items that are themselves iterable (rayon's `flatten_iter`).
-    pub fn flatten_iter(self) -> ParIter<OwnedSource<<G::Item as IntoIterator>::Item>>
-    where
-        G::Item: IntoIterator,
-        <G::Item as IntoIterator>::Item: Send,
-    {
-        let nested = self.run();
-        Self::ready(nested.into_iter().flatten().collect())
-    }
-
     /// Pair items positionally with another parallel-iterable (rayon `zip`
     /// semantics: truncates to the shorter side). Both sides evaluate
     /// before pairing.
@@ -342,52 +333,6 @@ impl<G: Gen> ParIter<G> {
         let left = self.run();
         let right = other.into_par_iter().run();
         Self::ready(left.into_iter().zip(right).collect())
-    }
-
-    /// Number the retained items sequentially (evaluates the pipeline, so
-    /// positions count post-`filter` survivors, matching the old shim).
-    pub fn enumerate(self) -> ParIter<OwnedSource<(usize, G::Item)>> {
-        let items = self.run();
-        Self::ready(items.into_iter().enumerate().collect())
-    }
-
-    /// Drive the pipeline for effects only; nothing is materialized.
-    pub fn for_each<F: Fn(G::Item) + Sync>(self, f: F) {
-        drive(
-            &self.gen,
-            |g, range| {
-                for i in range {
-                    if let Some(v) = g.pull(i) {
-                        f(v);
-                    }
-                }
-            },
-            |()| {},
-        );
-    }
-
-    /// Count retained items without materializing them.
-    pub fn count(self) -> usize {
-        let mut total = 0usize;
-        drive(
-            &self.gen,
-            |g, range| range.filter(|&i| g.pull(i).is_some()).count(),
-            |part| total += part,
-        );
-        total
-    }
-
-    /// Sum retained items; per-chunk partial sums are combined in chunk
-    /// order, so float summation stays deterministic for a fixed thread
-    /// count.
-    pub fn sum<S: std::iter::Sum<G::Item> + std::iter::Sum<S> + Send>(self) -> S {
-        let mut parts = Vec::new();
-        drive(
-            &self.gen,
-            |g, range| range.filter_map(|i| g.pull(i)).sum::<S>(),
-            |part| parts.push(part),
-        );
-        parts.into_iter().sum()
     }
 
     /// Evaluate the pipeline and collect in source order.
@@ -451,14 +396,6 @@ impl<T: Send> IntoParallelIterator for Vec<T> {
     type Iter = OwnedSource<T>;
     fn into_par_iter(self) -> ParIter<OwnedSource<T>> {
         ParIter { gen: OwnedSource::new(self) }
-    }
-}
-
-impl<'a, T: Sync> IntoParallelIterator for &'a [T] {
-    type Item = &'a T;
-    type Iter = SliceSource<'a, T>;
-    fn into_par_iter(self) -> ParIter<SliceSource<'a, T>> {
-        ParIter { gen: SliceSource { items: self } }
     }
 }
 
@@ -613,26 +550,6 @@ mod tests {
         let pairs: Vec<(u32, u32)> =
             a.par_iter().map(|&x| x).zip(b.par_iter().map(|&y| y)).collect();
         assert_eq!(pairs, vec![(0, 100), (1, 101), (2, 102), (3, 103), (4, 104)]);
-    }
-
-    #[test]
-    fn enumerate_numbers_retained_items() {
-        let v: Vec<u32> = (0..10).collect();
-        let out: Vec<(usize, u32)> =
-            v.par_iter().map(|&x| x).filter(|x| x % 2 == 1).enumerate().collect();
-        assert_eq!(out, vec![(0, 1), (1, 3), (2, 5), (3, 7), (4, 9)]);
-    }
-
-    #[test]
-    fn for_each_count_sum_terminals() {
-        let hits = AtomicUsize::new(0);
-        (0u32..500).into_par_iter().for_each(|_| {
-            hits.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), 500);
-        assert_eq!((0u32..500).into_par_iter().filter(|x| x % 5 == 0).count(), 100);
-        let total: u32 = (0u32..100).into_par_iter().map(|x| x).sum();
-        assert_eq!(total, 4950);
     }
 
     #[test]
