@@ -4,8 +4,24 @@ use crate::kernels::{self, QUERY_BLOCK, ROW_BLOCK};
 use crate::metric::Metric;
 use crate::rowstore::{RowFormat, RowStore};
 use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
-use crate::topk::{Hit, TopK};
+use crate::topk::{merge_topk, Hit, TopK};
 use rayon::prelude::*;
+use std::ops::Range;
+
+/// Row blocks each part of a row-split probe covers at least. A part
+/// smaller than this costs more to hand to a parked worker than the
+/// worker saves by scanning it.
+const SPLIT_MIN_BLOCKS: usize = 4;
+
+/// Cut `0..n` rows into at most `threads` parts of whole [`ROW_BLOCK`]s,
+/// each at least [`SPLIT_MIN_BLOCKS`] blocks long (only the last part may
+/// end mid-block). Fewer than two parts means "do not split".
+fn row_parts(n: usize, threads: usize) -> Vec<Range<usize>> {
+    let blocks = n.div_ceil(ROW_BLOCK);
+    let parts = threads.min(blocks / SPLIT_MIN_BLOCKS).max(1);
+    let per = blocks.div_ceil(parts).max(1) * ROW_BLOCK;
+    (0..n).step_by(per).map(|lo| lo..(lo + per).min(n)).collect()
+}
 
 /// Exact nearest-neighbour index over densely packed vectors.
 ///
@@ -13,7 +29,9 @@ use rayon::prelude::*;
 /// norms are precomputed once (and maintained through [`FlatIndex::add_batch`]),
 /// each query block is scored against cache-resident row blocks into a
 /// distance tile, and only then do the per-query [`TopK`] heaps see the
-/// tile. Batch probes are rayon-parallel over query blocks. At DIAL's
+/// tile. Batch probes are rayon-parallel over query blocks; a probe of
+/// one query block (a single [`FlatIndex::search`]) is rayon-parallel over
+/// row ranges instead, on the executor's parked workers. At DIAL's
 /// list sizes (thousands to a few hundred thousand records) this is
 /// competitive with approximate structures while being exact, which is
 /// why it is the default blocker index.
@@ -158,33 +176,64 @@ impl FlatIndex {
     /// one hit list per query in input order. Queries are scored in
     /// blocks of [`QUERY_BLOCK`] (rayon-parallel over blocks): each
     /// cache-resident row block is scanned once per query *block*, not
-    /// once per query, before the per-query heaps are updated.
+    /// once per query, before the per-query heaps are updated. A batch
+    /// that fits in one block is parallel over rows instead, like
+    /// [`FlatIndex::search`].
     pub fn search_batch(&self, queries: &[f32], k: usize) -> Vec<Vec<Hit>> {
         assert_eq!(queries.len() % self.dim, 0, "query batch length not a multiple of dim");
-        let blocks: Vec<Vec<Vec<Hit>>> =
-            queries.par_chunks(self.dim * QUERY_BLOCK).map(|qb| self.search_block(qb, k)).collect();
+        if queries.is_empty() {
+            return Vec::new();
+        }
+        if queries.len() <= self.dim * QUERY_BLOCK {
+            return self.search_block(queries, k);
+        }
+        let blocks: Vec<Vec<Vec<Hit>>> = queries
+            .par_chunks(self.dim * QUERY_BLOCK)
+            .map(|qb| self.scan(qb, k, 0..self.len()))
+            .collect();
         blocks.into_iter().flatten().collect()
     }
 
-    /// Score one packed query block against every row block and reduce
-    /// each tile into the per-query [`TopK`] heaps.
+    /// One query block against every row. Above [`SPLIT_MIN_BLOCKS`] row
+    /// blocks per part the rows are cut into up to
+    /// `rayon::current_num_threads()` parts, each scanned into its own
+    /// heaps on the executor, and the per-part lists are merged. The
+    /// result is bitwise the one-part scan: a pair's distance does not
+    /// depend on the part it was scored in, and [`merge_topk`] keeps the
+    /// same total `(distance, id)` order as one [`TopK`] over every row.
     fn search_block(&self, queries: &[f32], k: usize) -> Vec<Vec<Hit>> {
+        let parts = row_parts(self.len(), rayon::current_num_threads());
+        if parts.len() < 2 {
+            return self.scan(queries, k, 0..self.len());
+        }
+        let per_part: Vec<Vec<Vec<Hit>>> =
+            parts.par_iter().map(|rows| self.scan(queries, k, rows.clone())).collect();
+        (0..queries.len() / self.dim)
+            .map(|qi| {
+                let lists: Vec<&[Hit]> = per_part.iter().map(|p| p[qi].as_slice()).collect();
+                merge_topk(&lists, k)
+            })
+            .collect()
+    }
+
+    /// Score one packed query block against the row blocks of `rows` and
+    /// reduce each tile into the per-query [`TopK`] heaps.
+    fn scan(&self, queries: &[f32], k: usize, rows: Range<usize>) -> Vec<Vec<Hit>> {
         let nq = queries.len() / self.dim;
         let q_norms = kernels::metric_norms(self.metric, queries, self.dim);
         let mut tops: Vec<TopK> = (0..nq).map(|_| TopK::new(k)).collect();
         let mut tile = vec![0.0f32; nq * ROW_BLOCK];
-        let n = self.len();
-        let mut base = 0usize;
-        while base < n {
-            let nr = (n - base).min(ROW_BLOCK);
-            let rows = self.data.view_range(base, nr);
+        let mut base = rows.start;
+        while base < rows.end {
+            let nr = (rows.end - base).min(ROW_BLOCK);
+            let block = self.data.view_range(base, nr);
             let r_norms = &self.norms[base..base + nr];
             let tile = &mut tile[..nq * nr];
             kernels::distance_batch_rows(
                 self.metric,
                 queries,
                 &q_norms,
-                rows,
+                block,
                 r_norms,
                 self.dim,
                 tile,

@@ -81,21 +81,24 @@ pub const QUERY_BLOCK: usize = 8;
 /// Lane-split dot product; the deterministic reduction order (lane sums
 /// in index order, then the scalar tail) is part of the kernel contract,
 /// and every dispatch level reproduces it bitwise.
+///
+/// Panics if `a` and `b` differ in length: the vector paths read
+/// `a.len()` floats of both.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+    assert!(a.len() == b.len(), "dot: slices of length {} and {}", a.len(), b.len());
     #[cfg(target_arch = "x86_64")]
     if simd_level() == SimdLevel::Avx2 {
         // SAFETY: `simd_level` reports Avx2 only when the CPU has it; the
         // vector loads read `a.len()` rounded down to 8 elements of each
-        // slice, in bounds for the equal-length pair the kernel contract
-        // requires.
+        // slice, in bounds since the lengths were checked equal above.
         return unsafe { avx2::dot(a, b) };
     }
     #[cfg(target_arch = "aarch64")]
     if simd_level() == SimdLevel::Neon {
         // SAFETY: NEON is baseline on aarch64; the loads read `a.len()`
-        // rounded down to 8 elements of each slice, in bounds for an
-        // equal-length pair.
+        // rounded down to 8 elements of each slice, in bounds since the
+        // lengths were checked equal above.
         return unsafe { neon::dot(a, b) };
     }
     dot_scalar(a, b)
@@ -377,6 +380,9 @@ fn distance_batch_half_generic(
 /// distance per pair as the contiguous kernels. Both metric arms consume
 /// the cached `r_norms` — norms are never recomputed from row data at
 /// gather time.
+///
+/// Panics if `query` is not `dim` floats long: the vector paths read
+/// `query.len()` floats of every gathered row.
 #[allow(clippy::too_many_arguments)] // mirrors the batch kernels' (data, norms) pairing
 pub fn distance_gather(
     metric: Metric,
@@ -388,12 +394,13 @@ pub fn distance_gather(
     ids: &[u32],
     out: &mut [f32],
 ) {
+    assert!(query.len() == dim, "distance_gather: query of length {} for dim {dim}", query.len());
     #[cfg(target_arch = "x86_64")]
     if simd_level() == SimdLevel::Avx2 {
         // SAFETY: `simd_level` reports Avx2 only when the CPU has it; each
         // gathered row is cut to `dim` by checked indexing, and the loads
-        // read `query.len()` of it — in bounds for the `dim`-wide query the
-        // kernel contract requires.
+        // read `query.len()` of it — in bounds since `query.len() == dim`
+        // was checked above.
         return unsafe {
             avx2::distance_gather(metric, query, q_norm, data, r_norms, dim, ids, out)
         };
@@ -402,7 +409,7 @@ pub fn distance_gather(
     if simd_level() == SimdLevel::Neon {
         // SAFETY: NEON is baseline on aarch64; each gathered row is cut to
         // `dim` by checked indexing, and the loads read `query.len()` of it —
-        // in bounds for the `dim`-wide query the kernel contract requires.
+        // in bounds since `query.len() == dim` was checked above.
         return unsafe {
             neon::distance_gather(metric, query, q_norm, data, r_norms, dim, ids, out)
         };
@@ -1244,6 +1251,28 @@ mod tests {
         let mut gathered = vec![0.0; 3];
         distance_gather(Metric::L2, &q, q_sq[0], &rows, &r_sq, dim, &[0, 1, 2], &mut gathered);
         assert!(gathered[1].is_nan());
+    }
+
+    #[test]
+    #[should_panic(expected = "dot: slices of length 9 and 8")]
+    fn dot_rejects_a_length_mismatch() {
+        // A longer first slice would have the vector loads read past the
+        // end of the second one.
+        let (a, b) = (vecs(1, 9, 1), vecs(1, 8, 2));
+        dot(&a, &b);
+    }
+
+    #[test]
+    #[should_panic(expected = "distance_gather: query of length 16 for dim 8")]
+    fn gather_rejects_a_query_wider_than_dim() {
+        // Every gathered row is `dim` wide; a wider query would have the
+        // vector loads read past the end of the last row.
+        let dim = 8;
+        let rows = vecs(2, dim, 3);
+        let r_norms = metric_norms(Metric::L2, &rows, dim);
+        let q = vecs(1, 2 * dim, 4);
+        let mut out = vec![0.0; 1];
+        distance_gather(Metric::L2, &q, 1.0, &rows, &r_norms, dim, &[1], &mut out);
     }
 
     #[test]

@@ -314,6 +314,47 @@ proptest! {
     }
 
     #[test]
+    fn row_split_flat_search_is_bitwise_the_query_block_path(
+        data in packed(2200, 4),
+        n in 700usize..2200,
+        qi in 0usize..2200,
+        k_pick in 0usize..4,
+    ) {
+        // `search` and a one-block `search_batch` cut a large index's rows
+        // into parts, scan each on the executor and merge the lists; a
+        // batch of more than QUERY_BLOCK queries scans every row in one
+        // pass. Both must give the same ids and the same distance bits.
+        // `n` spans the split threshold and is rarely a multiple of
+        // ROW_BLOCK; `k = n - 100` is larger than any one part.
+        let dim = 4;
+        let mut rows = data[..n * dim].to_vec();
+        // A duplicate pair straddles every row-block boundary, and so
+        // every part boundary: ties that only the id can break.
+        for b in (kernels::ROW_BLOCK..n).step_by(kernels::ROW_BLOCK) {
+            rows.copy_within((b - 1) * dim..b * dim, b * dim);
+        }
+        let qi = qi % n;
+        let k = [1, 10, n - 100, n + 3][k_pick];
+        let query = &rows[qi * dim..(qi + 1) * dim];
+        let mut batch = rows[..kernels::QUERY_BLOCK * dim].to_vec();
+        batch.extend_from_slice(query);
+        let same = |a: &[dial_ann::Hit], b: &[dial_ann::Hit]| {
+            a.len() == b.len()
+                && a.iter().zip(b).all(|(x, y)| x.id == y.id && x.distance.to_bits() == y.distance.to_bits())
+        };
+        for format in [RowFormat::F32, RowFormat::F16, RowFormat::Bf16] {
+            for metric in [Metric::L2, Metric::Cosine] {
+                let mut ix = FlatIndex::with_format(dim, metric, format);
+                ix.add_batch(&rows);
+                let want = ix.search_batch(&batch, k).pop().expect("one list per query");
+                prop_assert!(same(&ix.search(query, k), &want), "search {:?} {:?} n={} k={}", format, metric, n, k);
+                let one_block = ix.search_batch(&batch[batch.len() - 2 * dim..], k);
+                prop_assert!(same(&one_block[1], &want), "one-block batch {:?} {:?} n={} k={}", format, metric, n, k);
+            }
+        }
+    }
+
+    #[test]
     fn flat_refresh_is_bitwise_a_rebuild(
         base in packed(40, 6),
         perturb in proptest::collection::vec((0usize..40, -3.0f32..3.0), 0..12),

@@ -11,8 +11,10 @@
 //! **coalesced** into blocks of up to [`ServeConfig::batch_max`] queries
 //! (default [`ADMISSION_BLOCK`], the probe-side blocking unit), and hit
 //! [`AnnIndex::search_batch`] — whose inner loops run on the
-//! work-stealing executor, so `--threads=N` (or `RAYON_NUM_THREADS`)
-//! sizes the compute under every worker.
+//! work-stealing executor's parked workers, so `--threads=N` (or
+//! `RAYON_NUM_THREADS`) sizes the compute under every worker. A lone key
+//! goes to [`AnnIndex::search`], which on a large flat index splits its
+//! rows across those workers, so even one query uses every core.
 //!
 //! Load-control mechanisms, in the order a request meets them:
 //!

@@ -2,10 +2,10 @@
 //! workspace calls — `par_iter`, `par_chunks`, `into_par_iter`, the
 //! `map` / `filter` / `flat_map_iter` / `zip` adapters, `collect`, and
 //! `current_num_threads` / `set_num_threads` — as *lazily fused*
-//! pipelines executed chunk-wise on scoped `std::thread` workers. Nothing
-//! beyond that subset is carried: an adapter with no caller is deleted,
-//! not kept in reserve. Bounded channels (the engine's build/probe
-//! pipeline, the serving admission queue) are
+//! pipelines executed chunk-wise on a pool of parked worker threads.
+//! Nothing beyond that subset is carried: an adapter with no caller is
+//! deleted, not kept in reserve. Bounded channels (the engine's
+//! build/probe pipeline, the serving admission queue) are
 //! `std::sync::mpsc::sync_channel`, not part of this crate.
 //!
 //! Unlike the first-generation shim (which evaluated every adapter eagerly
@@ -15,25 +15,39 @@
 //!
 //! Execution is a **work-stealing chunk queue**: the source index range is
 //! cut into many fixed-size half-open chunks ([`CHUNKS_PER_THREAD`] per
-//! worker), and `min(available_parallelism, n)` scoped threads *claim*
-//! chunks from a shared atomic cursor instead of being statically assigned
-//! one contiguous range each. A worker stuck on an expensive chunk (a
-//! heavy HNSW shard build, an oversized IVF list, one slow probe) no
-//! longer strands the untouched remainder of "its" range — idle workers
-//! drain the queue behind it. Each chunk's result lands in a dedicated
-//! slot and the results are combined **in chunk order** after all workers
-//! join. Chunk boundaries depend only on `n` and the worker count, never
-//! on timing, so output order is preserved for a fixed `(n, thread
-//! count)` — run-to-run and machine-to-machine.
+//! thread), and the participants *claim* chunks from a shared atomic
+//! cursor instead of being statically assigned one contiguous range each.
+//! A participant stuck on an expensive chunk (a heavy HNSW shard build,
+//! an oversized IVF list, one slow probe) no longer strands the untouched
+//! remainder of "its" range — idle ones drain the queue behind it. Each
+//! chunk's result lands in a dedicated slot and the results are combined
+//! **in chunk order** once every chunk has finished. Chunk boundaries
+//! depend only on `n` and the thread count, never on timing, so output
+//! order is preserved for a fixed `(n, thread count)` — run-to-run and
+//! machine-to-machine.
 //!
-//! `RAYON_NUM_THREADS` overrides the worker count; `1` forces sequential
+//! The participants are the calling thread plus up to `threads − 1`
+//! **parked workers**. The pool is created once, lazily, with
+//! `current_num_threads() − 1` workers (grown on demand when a caller asks
+//! for more), and no thread is created per call after that: a parallel
+//! operation publishes its job on the pool's board, wakes that many
+//! workers, claims chunks itself, and then waits only for the chunks
+//! workers already claimed. A chunk that starts a parallel operation of
+//! its own makes its thread that operation's caller, so nesting creates
+//! no threads either. A panic in any chunk stops further claims and is
+//! resumed on the caller, after every claimed chunk has finished.
+//!
+//! `RAYON_NUM_THREADS` overrides the thread count; `1` forces sequential
 //! execution.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
+use std::any::Any;
 use std::cell::UnsafeCell;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::{self, Thread};
 
 pub mod prelude {
     pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParIter, ParallelSlice};
@@ -88,7 +102,7 @@ pub trait Gen: Sync {
     fn pull(&self, i: usize) -> Option<Self::Item>;
 
     /// `true` when items are already materialized and pulling is trivial,
-    /// so the driver should not spin up worker threads just to move them.
+    /// so the driver should not hand them to pool workers just to move them.
     fn cheap(&self) -> bool {
         false
     }
@@ -206,7 +220,7 @@ impl<G: Gen, F: Fn(&G::Item) -> bool + Sync> Gen for Filter<G, F> {
 }
 
 /// A lazy parallel iterator: a fused pipeline plus the terminal operations
-/// that drive it on scoped worker threads.
+/// that drive it on the caller and the pool's workers.
 pub struct ParIter<G: Gen> {
     gen: G,
 }
@@ -218,22 +232,177 @@ pub struct ParIter<G: Gen> {
 /// worker's share.
 const CHUNKS_PER_THREAD: usize = 8;
 
-/// Per-chunk result slots, written by whichever worker claims the chunk.
+/// Per-chunk result slots, written by whichever participant claims the
+/// chunk.
 ///
 /// Soundness: the atomic cursor hands every chunk index to exactly one
-/// worker (`fetch_add` is a unique ticket), so slot writes are disjoint;
-/// readers only run after `thread::scope` has joined every worker.
+/// participant (`fetch_add` is a unique ticket), so slot writes are
+/// disjoint; readers only run after the caller's wait for every worker
+/// in the job (see [`Job::release`]).
 struct Slots<R>(Vec<UnsafeCell<Option<R>>>);
 
 // SAFETY: slot writes are disjoint per claimed chunk and reads follow the
-// scope's join (see above); `R: Send` lets results cross threads.
+// caller's wait (see above); `R: Send` lets results cross threads.
 unsafe impl<R: Send> Sync for Slots<R> {}
 
+impl<R> Slots<R> {
+    /// Store chunk `i`'s result.
+    ///
+    /// # Safety
+    /// The caller must hold the claim on chunk `i`, so no other thread
+    /// touches slot `i` until the job is over.
+    unsafe fn put(&self, i: usize, r: R) {
+        *self.0[i].get() = Some(r);
+    }
+}
+
+/// One parallel operation: its chunks, the cursor they are claimed from,
+/// and what its caller waits on. It lives on the caller's stack and is
+/// reachable by workers only through the pool's board.
+struct Job<'a> {
+    /// Runs chunk `i` and stores its result in the caller's slot `i`.
+    run: &'a (dyn Fn(usize) + Sync + 'a),
+    n_chunks: usize,
+    cursor: AtomicUsize,
+    /// Workers that took a seat in this job and have not released it.
+    workers: AtomicUsize,
+    /// The first panic any chunk raised.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    caller: Thread,
+}
+
+impl Job<'_> {
+    /// Claim and run chunks until the cursor runs out. A panicking chunk
+    /// is caught, kept if it is the first, and ends all further claims.
+    fn work(&self) {
+        loop {
+            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= self.n_chunks {
+                return;
+            }
+            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| (self.run)(i))) {
+                self.cursor.store(self.n_chunks, Ordering::Relaxed);
+                self.panic.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(payload);
+            }
+        }
+    }
+
+    fn exhausted(&self) -> bool {
+        self.cursor.load(Ordering::Relaxed) >= self.n_chunks
+    }
+
+    /// A worker leaves the job. The `Release` decrement pairs with the
+    /// caller's `Acquire` load in [`drive_with`], so the slots this worker
+    /// wrote are visible before the caller reads them. The caller's handle
+    /// is cloned first: once the count reaches zero the caller may return
+    /// and free the job, so nothing of it is touched after the decrement.
+    fn release(&self) {
+        let caller = self.caller.clone();
+        if self.workers.fetch_sub(1, Ordering::Release) == 1 {
+            caller.unpark();
+        }
+    }
+}
+
+/// A board entry: a published job and how many more workers may join it.
+struct Seat {
+    /// Lifetime-erased; valid while the entry is on the board (see
+    /// [`Pool::retire`]).
+    job: *const Job<'static>,
+    open: usize,
+}
+
+// SAFETY: the pointee is `Sync` (atomics, a mutex, a `Sync` closure and a
+// `Thread` handle), and the caller keeps it alive while it is reachable.
+unsafe impl Send for Seat {}
+
+struct Board {
+    seats: Vec<Seat>,
+    workers: usize,
+}
+
+/// The process-wide executor: parked workers and the board of jobs they
+/// serve.
+struct Pool {
+    board: Mutex<Board>,
+    wake: Condvar,
+}
+
+static POOL: Pool =
+    Pool { board: Mutex::new(Board { seats: Vec::new(), workers: 0 }), wake: Condvar::new() };
+
+impl Pool {
+    fn lock(&self) -> MutexGuard<'_, Board> {
+        // The one panic under the lock is a failed worker spawn, which
+        // leaves the board consistent; a poisoned guard is still usable.
+        self.board.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Put `job` on the board with `open` seats, after growing the pool
+    /// to at least `workers` threads, and wake that many workers.
+    fn publish(&'static self, job: &Job<'_>, open: usize, workers: usize) {
+        let mut board = self.lock();
+        // The only thread creation in this crate: once per pool worker.
+        while board.workers < workers {
+            thread::Builder::new()
+                .name(format!("rayon-worker-{}", board.workers))
+                .spawn(move || self.serve())
+                .expect("failed to spawn a rayon pool worker");
+            board.workers += 1;
+        }
+        board.seats.push(Seat { job: (job as *const Job<'_>).cast(), open });
+        drop(board);
+        for _ in 0..open {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Take `job` off the board. No worker joins it afterwards, so once
+    /// its worker count reads zero nothing else can reach it.
+    fn retire(&self, job: &Job<'_>) {
+        let ptr: *const Job<'static> = (job as *const Job<'_>).cast();
+        let mut board = self.lock();
+        if let Some(at) = board.seats.iter().position(|s| s.job == ptr) {
+            board.seats.remove(at);
+        }
+    }
+
+    /// A worker's life: take a seat in the oldest job with chunks left,
+    /// drain it, release it; park when the board has nothing to claim.
+    /// Workers live as long as the process and are never joined; nothing
+    /// here panics, since [`Job::work`] catches every chunk's panic.
+    fn serve(&self) {
+        let mut board = self.lock();
+        loop {
+            // SAFETY: an entry on the board points at a live job — its
+            // caller retires the entry under this lock before it waits for
+            // the job's workers and frees it.
+            let seat =
+                board.seats.iter_mut().find(|s| s.open > 0 && !unsafe { &*s.job }.exhausted());
+            let Some(seat) = seat else {
+                board = self.wake.wait(board).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            seat.open -= 1;
+            // SAFETY: as above; the seat taken under the lock keeps the
+            // job alive until `release`, since its caller waits for the
+            // worker count to drop to zero.
+            let job = unsafe { &*seat.job };
+            job.workers.fetch_add(1, Ordering::Relaxed);
+            drop(board);
+            job.work();
+            job.release();
+            board = self.lock();
+        }
+    }
+}
+
 /// Work-stealing driver core: cut `0..n` into `n_chunks` fixed-size
-/// half-open ranges, let `threads` scoped workers claim chunks from a
-/// shared atomic cursor, then combine the per-chunk results **in chunk
-/// order**. Factored out of [`drive`] (which picks the thread count) so
-/// tests can pin `threads` above the machine's core count.
+/// half-open ranges, let the caller and up to `threads − 1` pool workers
+/// claim chunks from a shared atomic cursor, then combine the per-chunk
+/// results **in chunk order**. Factored out of [`drive`] (which picks the
+/// thread count) so tests can pin `threads` above the machine's core
+/// count.
 fn drive_with<G: Gen, R: Send>(
     gen: &G,
     threads: usize,
@@ -249,23 +418,32 @@ fn drive_with<G: Gen, R: Send>(
     let chunk = n.div_ceil(threads * CHUNKS_PER_THREAD).max(1);
     let n_chunks = n.div_ceil(chunk);
     let slots = Slots((0..n_chunks).map(|_| UnsafeCell::new(None)).collect());
-    let cursor = AtomicUsize::new(0);
-    let (per_chunk, slots_ref, cursor_ref) = (&per_chunk, &slots, &cursor);
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(n_chunks) {
-            s.spawn(move || loop {
-                let i = cursor_ref.fetch_add(1, Ordering::Relaxed);
-                if i >= n_chunks {
-                    break;
-                }
-                let range = i * chunk..((i + 1) * chunk).min(n);
-                let r = per_chunk(gen, range);
-                // SAFETY: chunk index `i` was claimed by this worker
-                // alone; see `Slots`.
-                unsafe { *slots_ref.0[i].get() = Some(r) };
-            });
-        }
-    });
+    let run = |i: usize| {
+        let r = per_chunk(gen, i * chunk..((i + 1) * chunk).min(n));
+        // SAFETY: chunk index `i` was claimed by this participant alone;
+        // see `Slots`.
+        unsafe { slots.put(i, r) };
+    };
+    let job = Job {
+        run: &run,
+        n_chunks,
+        cursor: AtomicUsize::new(0),
+        workers: AtomicUsize::new(0),
+        panic: Mutex::new(None),
+        caller: thread::current(),
+    };
+    // From here until the wait below ends, workers may hold `&job`, which
+    // borrows this frame: nothing in between may unwind (`work` catches
+    // every chunk's panic).
+    POOL.publish(&job, threads.min(n_chunks) - 1, current_num_threads().max(threads) - 1);
+    job.work();
+    POOL.retire(&job);
+    while job.workers.load(Ordering::Acquire) != 0 {
+        thread::park();
+    }
+    if let Some(payload) = job.panic.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        panic::resume_unwind(payload);
+    }
     for cell in slots.0 {
         combine(cell.into_inner().expect("claimed chunk left no result"));
     }
@@ -444,7 +622,8 @@ par_range!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 mod tests {
     use super::prelude::*;
     use crate::Gen;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn set_num_threads_resolves_once_and_agrees_with_current() {
@@ -642,5 +821,102 @@ mod tests {
             |part| total += part,
         );
         assert_eq!(total, 500);
+    }
+
+    /// Spin until `flag` is set; a hang turns into a failure after 10 s.
+    fn await_flag(flag: &AtomicBool) {
+        let start = std::time::Instant::now();
+        while !flag.load(Ordering::SeqCst) {
+            assert!(start.elapsed() < Duration::from_secs(10), "no other participant showed up");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Drive 64 items at two threads; `on_caller` / `on_worker` run inside
+    /// every chunk, on whichever side claimed it. Returns the panic
+    /// message if the operation panicked.
+    fn drive_split(on_caller: impl Fn() + Sync, on_worker: impl Fn() + Sync) -> Option<String> {
+        let caller = std::thread::current().id();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            crate::drive_with(
+                &stealable(64).gen,
+                2,
+                |g, range| {
+                    if std::thread::current().id() == caller {
+                        on_caller();
+                    } else {
+                        on_worker();
+                    }
+                    range.filter_map(|i| g.pull(i)).count()
+                },
+                |_| {},
+            )
+        }));
+        run.err().map(|p| p.downcast_ref::<&str>().map_or_else(String::new, |s| s.to_string()))
+    }
+
+    #[test]
+    fn a_panic_in_a_caller_claimed_chunk_reaches_the_caller() {
+        // Workers hold off until the caller has panicked, so the caller
+        // is sure to claim a chunk.
+        let panicked = AtomicBool::new(false);
+        let msg = drive_split(
+            || {
+                panicked.store(true, Ordering::SeqCst);
+                panic!("caller chunk");
+            },
+            || await_flag(&panicked),
+        );
+        assert_eq!(msg.as_deref(), Some("caller chunk"));
+        let after: Vec<u32> = stealable(1000).collect();
+        assert_eq!(after, (0..1000).collect::<Vec<_>>(), "the next call must still succeed");
+    }
+
+    #[test]
+    fn a_panic_in_a_worker_claimed_chunk_reaches_the_caller() {
+        // The caller holds its first chunk until a worker has panicked,
+        // so a worker is sure to claim one.
+        let panicked = AtomicBool::new(false);
+        let msg = drive_split(
+            || await_flag(&panicked),
+            || {
+                panicked.store(true, Ordering::SeqCst);
+                panic!("worker chunk");
+            },
+        );
+        assert_eq!(msg.as_deref(), Some("worker chunk"));
+        let after: Vec<u32> = stealable(1000).collect();
+        assert_eq!(after, (0..1000).collect::<Vec<_>>(), "the next call must still succeed");
+    }
+
+    #[test]
+    fn nested_par_iter_completes_in_order() {
+        let outer: Vec<u64> = (0..40).collect();
+        let got: Vec<Vec<u64>> = outer
+            .par_iter()
+            .map(|&i| (0u64..100).into_par_iter().map(|j| i * 1000 + j).collect())
+            .collect();
+        let want: Vec<Vec<u64>> =
+            (0..40).map(|i| (0..100).map(|j| i * 1000 + j).collect()).collect();
+        assert_eq!(got, want);
+        // Again with more threads than cores, so workers run outer chunks
+        // and drive the inner operations as their callers.
+        let mut flat: Vec<u64> = Vec::new();
+        crate::drive_with(
+            &stealable(40).gen,
+            4,
+            |g, range| {
+                range
+                    .filter_map(|i| g.pull(i))
+                    .flat_map(|i| {
+                        stealable(100)
+                            .map(move |j| u64::from(i) * 1000 + u64::from(j))
+                            .collect::<Vec<_>>()
+                    })
+                    .collect::<Vec<_>>()
+            },
+            |part| flat.extend(part),
+        );
+        assert_eq!(flat, want.concat());
     }
 }
