@@ -44,7 +44,7 @@ pub use engine::{
     recall_at_k, EngineRoundStats, RetrievalEngine, TuneConfig, TuneStep, TuningOutcome,
 };
 pub use eval::{all_pairs_prf, blocker_recall, test_prf, Prf};
-pub use matcher::{Matcher, MATCHER_PREFIX};
+pub use matcher::{Matcher, PairScratch, MATCHER_PREFIX};
 pub use oracle::Oracle;
 pub use select::{entropy, select, SelectionInputs};
 pub use serve::{

@@ -14,16 +14,29 @@
 //! `logit_and_hidden(train = false)`'s and nothing is recorded that only a
 //! backward pass would read.
 //!
-//! Gradient batches are data-parallel: the batch is split into chunks, each
-//! chunk reads the one parameter store and accumulates into a gradient
-//! shard of its own (allocated once per `train` call), and the shards are
-//! reduced in chunk order before the optimizer step — numerically
-//! identical to a serial batch up to float addition order.
+//! Training runs without a tape too: [`Matcher::example_grad`] runs the
+//! trunk's `encode_train` and the head's forward on a [`PairScratch`]
+//! that keeps what a backward reads, then the head's and the trunk's
+//! straight-line backward, which issue the tape's backward kernel calls
+//! in its reverse-node order. Its loss and every gradient are bitwise
+//! what `logit_graph(train = true)` and `Graph::backward_into` give; the
+//! tape stays as that parity oracle (`tests/proptests.rs`).
+//!
+//! Gradient batches are data-parallel over `GRAD_SHARDS` logical shards,
+//! whatever the worker count: the batch is cut into that many chunks,
+//! workers claim them, each chunk reads the one parameter store and
+//! accumulates into a gradient shard of its own (allocated once per
+//! `train` call), and the shards are reduced in shard order before the
+//! optimizer step. The token table's gradient records the rows it
+//! touched, so the reduce, rescale, clip and AdamW step visit only those
+//! (`dial_tensor::Grads`).
 
 use crate::config::DialConfig;
 use dial_datasets::LabeledPair;
 use dial_tensor::optim::{AdamW, LrGroup, Schedule};
-use dial_tensor::{init, kernels, sigmoid, Grads, Graph, Matrix, ParamId, ParamStore, Var};
+use dial_tensor::{
+    init, kernels, sigmoid, GradSink, Grads, Graph, Matrix, ParamId, ParamStore, Var,
+};
 use dial_text::{paired_mode_ids, Record, TokenId, Vocab};
 use dial_tplm::{EncodeScratch, Tplm, TRUNK_PREFIX};
 use rand::rngs::StdRng;
@@ -32,9 +45,65 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use std::ops::Range;
 
-/// Pairs one worker scores on one [`EncodeScratch`] in
+/// Pairs one worker scores on one [`PairScratch`] in
 /// [`Matcher::score_batch`].
 const SCORE_CHUNK: usize = 64;
+
+/// Logical gradient shards of a training step. A constant, so a trained
+/// matcher's bits do not depend on the worker count.
+const GRAD_SHARDS: usize = 2;
+
+/// Buffers of one pair's tapeless forward and backward, reused across
+/// pairs of any length: the trunk's [`EncodeScratch`], the head's
+/// activations and the gradients the head's backward works in.
+#[derive(Debug, Default)]
+pub struct PairScratch {
+    trunk: EncodeScratch,
+    head: HeadActs,
+    grad: HeadGrads,
+}
+
+/// The head's activations for one pair.
+#[derive(Debug, Default)]
+struct HeadActs {
+    /// `[cls; mean_r; mean_s; |mean_r − mean_s|]` after dropout: the
+    /// input of `w1` (`4d`).
+    feat: Vec<f32>,
+    /// `mean_r − mean_s`, whose sign `|·|`'s gradient reads (`d`).
+    diff: Vec<f32>,
+    /// `tanh(feat · w1 + b1)` (`d`).
+    hidden: Vec<f32>,
+    /// `[hidden after dropout; coverage block]`: the input of `w2` and the
+    /// feature vector (`d + 8`).
+    full: Vec<f32>,
+    /// Dropout masks on `feat` and `hidden`.
+    feat_mask: Vec<f32>,
+    hidden_mask: Vec<f32>,
+}
+
+/// Gradient buffers of the head's backward, named after the value whose
+/// gradient they hold.
+#[derive(Debug, Default)]
+struct HeadGrads {
+    full: Vec<f32>,
+    hidden: Vec<f32>,
+    feat: Vec<f32>,
+    /// One segment's rows `[|seg|, d]`.
+    seg: Vec<f32>,
+    /// The trunk's output `[n, d]`.
+    ctx: Vec<f32>,
+    w1: Vec<f32>,
+    w2: Vec<f32>,
+    b1: Vec<f32>,
+    b2: [f32; 1],
+}
+
+/// What one logical shard of [`Matcher::train`] owns, reused by every
+/// step: its gradients and its worker's scratch.
+struct GradShard {
+    grads: Grads,
+    scratch: PairScratch,
+}
 
 /// Parameter-name prefix of the matcher head.
 pub const MATCHER_PREFIX: &str = "matcher.";
@@ -159,7 +228,7 @@ impl Matcher {
     ) -> (f32, Vec<f32>) {
         let ids = paired_mode_ids(r, s, vocab, model.config().max_len);
         let mut feature = vec![0.0; self.feature_width(store)];
-        let p = self.score_ids(store, model, &ids, &mut EncodeScratch::default(), &mut feature);
+        let p = self.score_ids(store, model, &ids, &mut PairScratch::default(), &mut feature);
         (p, feature)
     }
 
@@ -184,7 +253,7 @@ impl Matcher {
         let (probs, feats): (Vec<Vec<f32>>, Vec<Vec<f32>>) = pairs
             .par_chunks(SCORE_CHUNK)
             .map(|chunk| {
-                let mut scratch = EncodeScratch::default();
+                let mut scratch = PairScratch::default();
                 let mut feats = vec![0.0; chunk.len() * width];
                 let probs = chunk
                     .iter()
@@ -211,41 +280,178 @@ impl Matcher {
         store: &ParamStore,
         model: &Tplm,
         ids: &[TokenId],
-        scratch: &mut EncodeScratch,
+        scratch: &mut PairScratch,
         feature: &mut [f32],
+    ) -> f32 {
+        let ctx = model.encode_into(store, ids, &mut scratch.trunk);
+        let logit = self.head_forward(store, model, ids, ctx, None, &mut scratch.head);
+        feature.copy_from_slice(&scratch.head.full);
+        sigmoid(logit)
+    }
+
+    /// The head of [`Matcher::logit_and_hidden`] without a tape, on the
+    /// trunk's output `ctx`: the logit, and in `a` what the head's
+    /// backward reads. `train` draws the dropout masks, in the tape's
+    /// order; `None` is inference.
+    fn head_forward(
+        &self,
+        store: &ParamStore,
+        model: &Tplm,
+        ids: &[TokenId],
+        ctx: &[f32],
+        mut train: Option<(f32, &mut StdRng)>,
+        a: &mut HeadActs,
     ) -> f32 {
         let d = model.config().d_model;
         let w = |id: ParamId| store.value(id).as_slice();
-        let ctx = model.encode_into(store, ids, scratch);
         let (span_r, span_s) = segment_spans(ids);
         let (ctx_r, ctx_s) =
             (&ctx[span_r.start * d..span_r.end * d], &ctx[span_s.start * d..span_s.end * d]);
+        a.feat.resize(4 * d, 0.0);
+        a.diff.resize(d, 0.0);
+        a.hidden.resize(d, 0.0);
+        a.full.resize(d + 8, 0.0);
 
         // [cls; mean_r; mean_s; |mean_r − mean_s|]
-        let mut feat = vec![0.0; 4 * d];
-        let (cls, rest) = feat.split_at_mut(d);
+        let (cls, rest) = a.feat.split_at_mut(d);
         let (mean_r, rest) = rest.split_at_mut(d);
-        let (mean_s, diff) = rest.split_at_mut(d);
+        let (mean_s, abs_diff) = rest.split_at_mut(d);
         cls.copy_from_slice(&ctx[..d]);
         kernels::mean_rows(ctx_r, mean_r);
         kernels::mean_rows(ctx_s, mean_s);
-        for ((o, a), b) in diff.iter_mut().zip(&*mean_r).zip(&*mean_s) {
-            *o = (a - b).abs();
+        for (((o, diff), a), b) in abs_diff.iter_mut().zip(&mut a.diff).zip(&*mean_r).zip(&*mean_s)
+        {
+            *diff = a - b;
+            *o = diff.abs();
+        }
+        if let Some((p, rng)) = &mut train {
+            kernels::dropout(*p, &mut **rng, &mut a.feat_mask, &mut a.feat);
         }
 
-        let (hidden, cov) = feature.split_at_mut(d);
-        kernels::matmul(&feat, w(self.w1), 1, 4 * d, d, hidden);
-        kernels::add_row(hidden, w(self.b1));
-        kernels::tanh_slice(hidden);
+        kernels::matmul(&a.feat, w(self.w1), 1, 4 * d, d, &mut a.hidden);
+        kernels::add_row(&mut a.hidden, w(self.b1));
+        kernels::tanh_slice(&mut a.hidden);
+        let (dropped, cov) = a.full.split_at_mut(d);
+        dropped.copy_from_slice(&a.hidden);
+        if let Some((p, rng)) = &mut train {
+            kernels::dropout(*p, &mut **rng, &mut a.hidden_mask, dropped);
+        }
         cov.copy_from_slice(&coverage_block(
             store.value(model.token_embedding_param()),
             (&ids[span_r], ctx_r),
             (&ids[span_s], ctx_s),
         ));
         let mut logit = [0.0];
-        kernels::matmul(feature, w(self.w2), 1, feature.len(), 1, &mut logit);
+        kernels::matmul(&a.full, w(self.w2), 1, d + 8, 1, &mut logit);
         kernels::add_row(&mut logit, w(self.b2));
-        sigmoid(logit[0])
+        logit[0]
+    }
+
+    /// One labelled pair's training loss — binary cross-entropy of its
+    /// logit against `label`, times `weight` — with its gradient added
+    /// into `grads` (made by `store.new_grads()`), all without a tape.
+    ///
+    /// Bitwise the tape's step: the loss is `g.value(l)` and `grads` ends
+    /// as `g.backward_into(l, store, grads)` leaves it, for the `l` of
+    /// `logit_graph(train = true)` → `bce_with_logits(·, [label])` →
+    /// `scale(·, weight)` built with the same `rng`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn example_grad(
+        &self,
+        store: &ParamStore,
+        model: &Tplm,
+        ids: &[TokenId],
+        label: f32,
+        weight: f32,
+        rng: &mut StdRng,
+        scratch: &mut PairScratch,
+        grads: &mut Grads,
+    ) -> f32 {
+        let PairScratch { trunk, head, grad } = scratch;
+        let ctx = model.encode_train(store, ids, self.dropout, rng, trunk);
+        let z = self.head_forward(store, model, ids, ctx, Some((self.dropout, rng)), head);
+        // The tape's loss is `(0 + term) / 1` scaled by `weight`, and its
+        // root gradient `1 · weight` reaches the logit divided by one
+        // target: both are exact, so neither is spelled out.
+        let loss = kernels::bce_with_logits(z, label) * weight;
+        let dz = kernels::bce_with_logits_backward(z, label, weight);
+        let mut sink = store.grad_sink_into(grads);
+        self.head_backward(store, ids, model.config().d_model, dz, head, grad, &mut sink);
+        model.backward(store, ids, &grad.ctx, trunk, &mut sink);
+        loss
+    }
+
+    /// The head's backward from the logit's gradient `dz`, over the
+    /// activations of the last [`Matcher::head_forward`]: parameter
+    /// gradients into `sink`, and the trunk output's gradient into
+    /// `g.ctx`. Straight-line code in the tape's reverse-node order.
+    #[allow(clippy::too_many_arguments)]
+    fn head_backward(
+        &self,
+        store: &ParamStore,
+        ids: &[TokenId],
+        d: usize,
+        dz: f32,
+        a: &HeadActs,
+        g: &mut HeadGrads,
+        sink: &mut GradSink<'_>,
+    ) {
+        let w = |id: ParamId| store.value(id).as_slice();
+        let dropped = self.dropout > 0.0;
+        g.full.resize(d + 8, 0.0);
+        g.w2.resize(d + 8, 0.0);
+        g.feat.resize(4 * d, 0.0);
+        g.w1.resize(4 * d * d, 0.0);
+        g.b1.resize(d, 0.0);
+
+        // logit = full · w2 + b2
+        kernels::add_row_backward(&[dz], &mut g.b2);
+        kernels::matmul_backward(&a.full, w(self.w2), &[dz], 1, d + 8, 1, &mut g.full, &mut g.w2);
+        sink.add(self.b2, &g.b2);
+        sink.add(self.w2, &g.w2);
+        // full = [Dropout(hidden); coverage], the coverage block an input
+        g.hidden.clear();
+        g.hidden.extend_from_slice(&g.full[..d]);
+        if dropped {
+            kernels::mul_assign(&mut g.hidden, &a.hidden_mask);
+        }
+        // hidden = tanh(Dropout(feat) · w1 + b1)
+        kernels::tanh_backward(&a.hidden, &mut g.hidden);
+        kernels::add_row_backward(&g.hidden, &mut g.b1);
+        kernels::matmul_backward(
+            &a.feat,
+            w(self.w1),
+            &g.hidden,
+            1,
+            4 * d,
+            d,
+            &mut g.feat,
+            &mut g.w1,
+        );
+        sink.add(self.b1, &g.b1);
+        sink.add(self.w1, &g.w1);
+        if dropped {
+            kernels::mul_assign(&mut g.feat, &a.feat_mask);
+        }
+        // feat = [cls; mean_r; mean_s; |diff|], diff = mean_r − mean_s
+        let (d_cls, rest) = g.feat.split_at_mut(d);
+        let (d_mean_r, rest) = rest.split_at_mut(d);
+        let (d_mean_s, d_diff) = rest.split_at_mut(d);
+        kernels::abs_backward(&a.diff, d_diff);
+        kernels::add_assign(d_mean_r, d_diff);
+        for (m, dd) in d_mean_s.iter_mut().zip(&*d_diff) {
+            *m += -dd;
+        }
+        // mean_s, mean_r, cls: row slices of ctx, the first one copied in
+        let n = ids.len();
+        let (span_r, span_s) = segment_spans(ids);
+        g.ctx.clear();
+        g.ctx.resize(n * d, 0.0);
+        kernels::mean_rows_backward(d_mean_s, &mut g.ctx[span_s.start * d..span_s.end * d]);
+        g.seg.resize(span_r.len() * d, 0.0);
+        kernels::mean_rows_backward(d_mean_r, &mut g.seg);
+        acc_rows(&mut g.ctx, &g.seg, d, span_r.start);
+        acc_rows(&mut g.ctx, d_cls, d, 0);
     }
 
     /// Fine-tune trunk + head on `labeled` pairs (Eq. 6). Returns the mean
@@ -297,8 +503,9 @@ impl Matcher {
             Schedule::LinearDecay { total_steps },
         );
 
-        // One gradient shard per worker, reused by every step.
-        let mut shards = vec![store.new_grads(); rayon::current_num_threads().max(1)];
+        let mut shards: Vec<GradShard> = (0..GRAD_SHARDS)
+            .map(|_| GradShard { grads: store.new_grads(), scratch: PairScratch::default() })
+            .collect();
         let mut order: Vec<usize> = (0..examples.len()).collect();
         let mut epoch_rng = StdRng::seed_from_u64(cfg.seed ^ (round as u64) << 20);
         let mut last_epoch_loss = 0.0;
@@ -327,13 +534,14 @@ impl Matcher {
     }
 
     /// One data-parallel gradient accumulation over `batch` indices: the
-    /// batch is cut into one chunk per shard, every chunk reads `store` and
-    /// fills its own shard, and the shards are added into `store`'s
-    /// (zeroed) gradients in chunk order. Returns the mean loss.
+    /// batch is cut into one chunk per shard, workers claim the chunks,
+    /// every chunk reads `store` and fills its own shard, and the shards
+    /// are added into `store`'s (zeroed) gradients in shard order. Returns
+    /// the mean loss.
     fn grad_step(
         &self,
         store: &mut ParamStore,
-        shards: &mut [Grads],
+        shards: &mut [GradShard],
         model: &Tplm,
         examples: &[(Vec<TokenId>, f32, f32)],
         batch: &[usize],
@@ -341,22 +549,19 @@ impl Matcher {
     ) -> f32 {
         let chunk = batch.len().div_ceil(shards.len()).max(1);
         let shared: &ParamStore = store;
-        let work: Vec<(&[usize], &mut Grads)> =
+        let work: Vec<(&[usize], &mut GradShard)> =
             batch.chunks(chunk).zip(shards.iter_mut()).collect();
         let losses: Vec<f64> = work
             .into_par_iter()
-            .map(|(ixs, shard)| {
-                shard.fill_zero();
+            .map(|(ixs, GradShard { grads, scratch })| {
+                grads.fill_zero();
                 let mut loss = 0.0f64;
                 for &i in ixs {
                     let (ids, label, weight) = &examples[i];
                     let mut rng = StdRng::seed_from_u64(seed ^ (i as u64));
-                    let mut g = Graph::new();
-                    let z = self.logit_graph(&mut g, shared, model, ids, true, &mut rng);
-                    let l = g.bce_with_logits(z, &[*label]);
-                    let l = g.scale(l, *weight);
-                    loss += g.value(l).item() as f64;
-                    g.backward_into(l, shared, shard);
+                    loss += self
+                        .example_grad(shared, model, ids, *label, *weight, &mut rng, scratch, grads)
+                        as f64;
                 }
                 loss
             })
@@ -364,18 +569,28 @@ impl Matcher {
         // One loss per chunk that ran: the zip stops at the shards in use.
         let mut loss_sum = 0.0;
         for (shard, loss) in shards.iter().zip(&losses) {
-            store.accumulate_grads_from(shard);
+            store.accumulate_grads_from(&shard.grads);
             loss_sum += loss;
         }
         // Mean over the batch: gradients were summed per example, so
         // rescale to match a mean-reduction batch loss.
-        let scale = 1.0 / batch.len() as f32;
-        for id in store.ids().collect::<Vec<_>>() {
-            if !store.is_frozen(id) {
-                store.grad_mut(id).scale(scale);
-            }
-        }
+        store.scale_grads(1.0 / batch.len() as f32);
         (loss_sum / batch.len() as f64) as f32
+    }
+}
+
+/// The tape's gradient of a row slice (`Graph::slice_rows`) landing on its
+/// source after the first contribution: `src` (`d`-wide rows) zero-padded
+/// to rows `lo..` of `dst` and added, padding included (`+0.0` turns a
+/// `-0.0` into `+0.0`, as on the tape).
+fn acc_rows(dst: &mut [f32], src: &[f32], d: usize, lo: usize) {
+    let hi = lo + src.len() / d;
+    for (r, row) in dst.chunks_exact_mut(d).enumerate() {
+        if (lo..hi).contains(&r) {
+            kernels::add_assign(row, &src[(r - lo) * d..(r - lo + 1) * d]);
+        } else {
+            row.iter_mut().for_each(|v| *v += 0.0);
+        }
     }
 }
 

@@ -252,3 +252,93 @@ proptest! {
         );
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn tapeless_training_step_matches_the_tape_bitwise(
+        seed in 0u64..1000,
+        dropout_on in 0u8..2,
+        freeze_trunk in 0u8..2,
+        // Per random example: segment lengths (cut to fit `max_len`) and
+        // the label.
+        random in proptest::collection::vec((0usize..22, 0usize..22, 0u8..2), 1..4),
+        w_pos in 0.25f32..4.0,
+        w_neg in 0.25f32..4.0,
+    ) {
+        use dial_core::{Matcher, PairScratch};
+        use dial_tensor::{Graph, ParamStore};
+        use dial_text::Vocab;
+        use dial_tplm::{Tplm, TplmConfig};
+
+        // The oracle: `logit_graph(train = true)` → BCE → scale by the
+        // class weight, backpropagated on the tape into a shard of its
+        // own. The tapeless step must give the same loss and leave every
+        // shard buffer with the same bits, example after example, on
+        // perturbed weights (LayerNorm gains, biases and the head off
+        // their initial values), dropout on and off.
+        let dropout = if dropout_on == 1 { 0.1 } else { 0.0 };
+        let tplm = TplmConfig { n_layers: 2, dropout, seed, ..TplmConfig::tiny() };
+        let mut store = ParamStore::new();
+        let model = Tplm::new(tplm, &mut store);
+        let matcher = Matcher::new(&mut store, &model);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        for id in store.ids().collect::<Vec<_>>() {
+            for v in store.value_mut(id).as_mut_slice() {
+                *v += rng.gen_range(-0.3f32..0.3);
+            }
+        }
+        model.set_trunk_frozen(&mut store, freeze_trunk == 1);
+
+        // Lengths 3 (both segments empty), one-token segments, and
+        // `max_len`, then the random ones.
+        let budget = tplm.max_len - 3;
+        let fixed = [(0, 0, 1), (1, 0, 0), (0, 1, 1), (1, 1, 0), (budget - 9, 9, 1)];
+        let mut lengths = std::collections::HashSet::new();
+        let (mut tape, mut tapeless) = (store.new_grads(), store.new_grads());
+        let mut scratch = PairScratch::default();
+        for (k, &(r_len, s_len, label)) in fixed.iter().chain(&random).enumerate() {
+            let r_len = r_len.min(budget);
+            let s_len = s_len.min(budget - r_len);
+            let mut token = |_| rng.gen_range(Vocab::NUM_SPECIAL..tplm.vocab_size as u32);
+            let mut ids = vec![Vocab::CLS];
+            ids.extend((0..r_len).map(&mut token));
+            ids.push(Vocab::SEP);
+            ids.extend((0..s_len).map(&mut token));
+            ids.push(Vocab::SEP);
+            lengths.insert(ids.len());
+            let (y, weight) = if label == 1 { (1.0, w_pos) } else { (0.0, w_neg) };
+
+            let example_seed = seed ^ k as u64;
+            let mut g = Graph::new();
+            let z = matcher.logit_graph(
+                &mut g, &store, &model, &ids, true, &mut StdRng::seed_from_u64(example_seed),
+            );
+            let l = g.bce_with_logits(z, &[y]);
+            let l = g.scale(l, weight);
+            g.backward_into(l, &store, &mut tape);
+            let loss = matcher.example_grad(
+                &store,
+                &model,
+                &ids,
+                y,
+                weight,
+                &mut StdRng::seed_from_u64(example_seed),
+                &mut scratch,
+                &mut tapeless,
+            );
+            prop_assert_eq!(loss.to_bits(), g.value(l).item().to_bits(), "loss, {} tokens", ids.len());
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for id in store.ids() {
+            prop_assert_eq!(
+                bits(tapeless.get(id).as_slice()),
+                bits(tape.get(id).as_slice()),
+                "gradient of {}", store.name(id)
+            );
+            prop_assert_eq!(tapeless.touched_rows(id), tape.touched_rows(id), "rows of {}", store.name(id));
+        }
+        prop_assert!(lengths.contains(&3) && lengths.contains(&tplm.max_len), "lengths {:?}", lengths);
+    }
+}

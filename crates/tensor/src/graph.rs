@@ -9,12 +9,17 @@
 //! Everything is a 2-D [`Matrix`]; see the matrix module docs for the shape
 //! conventions. Ops are an enum rather than boxed closures: dispatch is a
 //! match, values needed by backward are the stored node values themselves.
+//! Each op's backward arithmetic is a [`kernels`] function.
+//!
+//! The tape trains the blocker's committee, and it is the oracle of the
+//! matcher, which trains without one: `dial-tplm`'s and `dial-core`'s
+//! tapeless backward call the same kernels in this module's reverse-node
+//! order and are proptested bitwise against `Graph::backward_into`.
 
 use crate::kernels;
-use crate::matrix::{dot, Matrix};
+use crate::matrix::Matrix;
 use crate::params::{GradSink, Grads, ParamId, ParamStore};
 use rand::rngs::StdRng;
-use rand::Rng;
 use std::sync::Arc;
 
 /// Handle to a node in a [`Graph`].
@@ -363,14 +368,9 @@ impl Graph {
         if p == 0.0 {
             return x;
         }
-        let keep = 1.0 - p;
-        let vx = self.value(x);
-        let mask: Vec<f32> =
-            (0..vx.len()).map(|_| if rng.gen::<f32>() < keep { 1.0 / keep } else { 0.0 }).collect();
-        let mut v = vx.clone();
-        for (a, m) in v.as_mut_slice().iter_mut().zip(&mask) {
-            *a *= m;
-        }
+        let mut v = self.value(x).clone();
+        let mut mask = Vec::new();
+        kernels::dropout(p, rng, &mut mask, v.as_mut_slice());
         self.push(Op::Dropout { x, mask }, v)
     }
 
@@ -423,9 +423,7 @@ impl Graph {
         assert_eq!(vl.rows(), targets.len(), "bce target count mismatch");
         let mut loss = 0.0;
         for (r, &t) in targets.iter().enumerate() {
-            let z = vl.get(r, 0);
-            // Numerically stable: max(z,0) - z*t + ln(1 + exp(-|z|))
-            loss += z.max(0.0) - z * t + kernels::exp(-z.abs()).ln_1p();
+            loss += kernels::bce_with_logits(vl.get(r, 0), t);
         }
         let v = Matrix::scalar(loss / targets.len() as f32);
         self.push(Op::BceWithLogits { logits, targets: targets.to_vec() }, v)
@@ -495,26 +493,41 @@ impl Graph {
                 }
             }
             Op::Gather { table, indices } => {
-                if let Some(gt) = sink.grad_mut(*table) {
-                    for (r, &ix) in indices.iter().enumerate() {
-                        let dst = gt.row_mut(ix as usize);
-                        for (d, s) in dst.iter_mut().zip(g.row(r)) {
-                            *d += s;
-                        }
-                    }
+                for (r, &ix) in indices.iter().enumerate() {
+                    sink.add_row(*table, ix as usize, g.row(r));
                 }
             }
             Op::MatMul(a, b) => {
-                // dA = g @ B^T ; dB = A^T @ g
-                let da = g.matmul_t(self.value(*b));
-                let db = self.value(*a).t_matmul(g);
+                let (va, vb) = (self.value(*a), self.value(*b));
+                let (mut da, mut db) = (zeros_like(va), zeros_like(vb));
+                let (m, k, n) = (va.rows(), va.cols(), vb.cols());
+                kernels::matmul_backward(
+                    va.as_slice(),
+                    vb.as_slice(),
+                    g.as_slice(),
+                    m,
+                    k,
+                    n,
+                    da.as_mut_slice(),
+                    db.as_mut_slice(),
+                );
                 acc(grads, *a, da);
                 acc(grads, *b, db);
             }
             Op::MatMulT(a, b) => {
-                // y = A @ B^T : dA = g @ B ; dB = g^T @ A
-                let da = g.matmul(self.value(*b));
-                let db = g.t_matmul(self.value(*a));
+                let (va, vb) = (self.value(*a), self.value(*b));
+                let (mut da, mut db) = (zeros_like(va), zeros_like(vb));
+                let (m, n, k) = (va.rows(), vb.rows(), va.cols());
+                kernels::matmul_t_backward(
+                    va.as_slice(),
+                    vb.as_slice(),
+                    g.as_slice(),
+                    m,
+                    n,
+                    k,
+                    da.as_mut_slice(),
+                    db.as_mut_slice(),
+                );
                 acc(grads, *a, da);
                 acc(grads, *b, db);
             }
@@ -525,11 +538,7 @@ impl Graph {
             Op::AddRow(a, bias) => {
                 acc(grads, *a, g.clone());
                 let mut gb = Matrix::zeros(1, g.cols());
-                for r in 0..g.rows() {
-                    for (o, x) in gb.row_mut(0).iter_mut().zip(g.row(r)) {
-                        *o += x;
-                    }
-                }
+                kernels::add_row_backward(g.as_slice(), gb.as_mut_slice());
                 acc(grads, *bias, gb);
             }
             Op::Sub(a, b) => {
@@ -557,17 +566,12 @@ impl Graph {
             }
             Op::Tanh(a) => {
                 let mut da = g.clone();
-                for (x, y) in da.as_mut_slice().iter_mut().zip(node.value.as_slice()) {
-                    *x *= 1.0 - y * y;
-                }
+                kernels::tanh_backward(node.value.as_slice(), da.as_mut_slice());
                 acc(grads, *a, da);
             }
             Op::Gelu { x, tanh } => {
                 let mut da = g.clone();
-                let inputs = self.value(*x).as_slice();
-                for ((d, inp), t) in da.as_mut_slice().iter_mut().zip(inputs).zip(tanh) {
-                    *d *= gelu_grad(*inp, *t);
-                }
+                kernels::gelu_backward(self.value(*x).as_slice(), tanh, da.as_mut_slice());
                 acc(grads, *x, da);
             }
             Op::Relu(a) => {
@@ -581,11 +585,7 @@ impl Graph {
             }
             Op::Abs(a) => {
                 let mut da = g.clone();
-                for (x, inp) in da.as_mut_slice().iter_mut().zip(self.value(*a).as_slice()) {
-                    if *inp < 0.0 {
-                        *x = -*x;
-                    }
-                }
+                kernels::abs_backward(self.value(*a).as_slice(), da.as_mut_slice());
                 acc(grads, *a, da);
             }
             Op::SqrtEps(a, eps) => {
@@ -598,15 +598,14 @@ impl Graph {
                 acc(grads, *a, da);
             }
             Op::SoftmaxRows(a) => {
-                // dx = y * (g - sum(g * y, per row))
                 let y = &node.value;
-                let mut da = Matrix::zeros(y.rows(), y.cols());
-                for r in 0..y.rows() {
-                    let s = dot(g.row(r), y.row(r));
-                    for ((d, gg), yy) in da.row_mut(r).iter_mut().zip(g.row(r)).zip(y.row(r)) {
-                        *d = yy * (gg - s);
-                    }
-                }
+                let mut da = zeros_like(y);
+                kernels::softmax_rows_backward(
+                    y.as_slice(),
+                    g.as_slice(),
+                    y.cols(),
+                    da.as_mut_slice(),
+                );
                 acc(grads, *a, da);
             }
             Op::LogSumExpRows(a) => {
@@ -622,49 +621,24 @@ impl Graph {
             }
             Op::LayerNorm { x, gain, bias } => {
                 let vx = self.value(*x);
-                let vg = self.value(*gain);
-                let c = vx.cols() as f32;
-                let mut dx = Matrix::zeros(vx.rows(), vx.cols());
+                let mut dx = zeros_like(vx);
                 let mut dgain = Matrix::zeros(1, vx.cols());
                 let mut dbias = Matrix::zeros(1, vx.cols());
-                for r in 0..vx.rows() {
-                    let row = vx.row(r);
-                    let (mean, inv_std) = kernels::row_moments(row);
-                    let xhat: Vec<f32> = row.iter().map(|&v| (v - mean) * inv_std).collect();
-                    let gr = g.row(r);
-                    // Parameter grads.
-                    for ((dg, db_), (gg, xh)) in dgain
-                        .row_mut(0)
-                        .iter_mut()
-                        .zip(dbias.row_mut(0).iter_mut())
-                        .zip(gr.iter().zip(&xhat))
-                    {
-                        *dg += gg * xh;
-                        *db_ += gg;
-                    }
-                    // Input grad.
-                    let dxhat: Vec<f32> =
-                        gr.iter().zip(vg.row(0)).map(|(gg, gn)| gg * gn).collect();
-                    let mean_dxhat = dxhat.iter().sum::<f32>() / c;
-                    let mean_dxhat_xhat =
-                        dxhat.iter().zip(&xhat).map(|(a, b)| a * b).sum::<f32>() / c;
-                    for ((d, dh), xh) in dx.row_mut(r).iter_mut().zip(&dxhat).zip(&xhat) {
-                        *d = inv_std * (dh - mean_dxhat - xh * mean_dxhat_xhat);
-                    }
-                }
+                kernels::layer_norm_backward(
+                    vx.as_slice(),
+                    self.value(*gain).as_slice(),
+                    g.as_slice(),
+                    dx.as_mut_slice(),
+                    dgain.as_mut_slice(),
+                    dbias.as_mut_slice(),
+                );
                 acc(grads, *x, dx);
                 acc(grads, *gain, dgain);
                 acc(grads, *bias, dbias);
             }
             Op::MeanRows(a) => {
-                let n = self.value(*a).rows();
-                let mut da = Matrix::zeros(n, g.cols());
-                let inv = 1.0 / n as f32;
-                for r in 0..n {
-                    for (d, s) in da.row_mut(r).iter_mut().zip(g.row(0)) {
-                        *d = s * inv;
-                    }
-                }
+                let mut da = Matrix::zeros(self.value(*a).rows(), g.cols());
+                kernels::mean_rows_backward(g.as_slice(), da.as_mut_slice());
                 acc(grads, *a, da);
             }
             Op::SliceRows { x, lo, hi } => {
@@ -719,9 +693,7 @@ impl Graph {
             }
             Op::Dropout { x, mask } => {
                 let mut da = g.clone();
-                for (d, m) in da.as_mut_slice().iter_mut().zip(mask) {
-                    *d *= m;
-                }
+                kernels::mul_assign(da.as_mut_slice(), mask);
                 acc(grads, *x, da);
             }
             Op::RowSqDists(a, b) => {
@@ -782,7 +754,7 @@ impl Graph {
                 let scale = g.item() / targets.len() as f32;
                 let mut dl = Matrix::zeros(vl.rows(), 1);
                 for (r, &t) in targets.iter().enumerate() {
-                    dl.set(r, 0, scale * (kernels::sigmoid(vl.get(r, 0)) - t));
+                    dl.set(r, 0, kernels::bce_with_logits_backward(vl.get(r, 0), t, scale));
                 }
                 acc(grads, *logits, dl);
             }
@@ -809,12 +781,8 @@ fn acc(grads: &mut [Option<Matrix>], v: Var, delta: Matrix) {
     }
 }
 
-/// GELU's derivative at `x`, given the `t` that [`kernels::gelu`] saved in
-/// the forward.
-#[inline]
-fn gelu_grad(x: f32, t: f32) -> f32 {
-    let du = kernels::GELU_C * (1.0 + 3.0 * kernels::GELU_K * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+fn zeros_like(m: &Matrix) -> Matrix {
+    Matrix::zeros(m.rows(), m.cols())
 }
 
 #[cfg(test)]

@@ -25,6 +25,12 @@
 //! mean-pool — are the `rows` submodule, also re-exported: one definition
 //! each, called by `Graph`'s ops and by `dial-tplm`'s graph-free forward.
 //!
+//! The backward arithmetic of those ops — the MatMul pair, bias and
+//! LayerNorm gradients, the softmax / GELU / `tanh` / `|x|` / mean-pool
+//! gradients, the dropout mask and the BCE term — is the `backward`
+//! submodule, re-exported the same way: `Graph::backward` and the
+//! matcher's tapeless backward call the same functions.
+//!
 //! # Determinism contract
 //!
 //! The AVX2 paths are **bitwise equal** to the scalar loops, not merely
@@ -70,16 +76,21 @@
 //!   so eight pairs `(i, j..j+8)` advance together, each lane running
 //!   [`sq_dist`]'s serial `s += d·d` chain.
 
+mod backward;
 mod rows;
 mod transcendental;
 
-pub use rows::{add_assign, add_row, layer_norm_rows, mean_rows, row_moments, scale};
-pub use transcendental::{
-    exp, exp_slice, exp_slice_scalar, gelu, gelu_in_place, gelu_scalar, logsumexp,
-    logsumexp_scalar, sigmoid, sigmoid_slice, sigmoid_slice_scalar, softmax_rows,
-    softmax_rows_scalar, tanh, tanh_slice, tanh_slice_scalar, TANH_CROSSOVER,
+pub use backward::{
+    abs_backward, add_row_backward, bce_with_logits, bce_with_logits_backward, dropout,
+    gelu_backward, layer_norm_backward, matmul_backward, matmul_t_backward, mean_rows_backward,
+    mul_assign, softmax_rows_backward, tanh_backward,
 };
-pub(crate) use transcendental::{GELU_C, GELU_K};
+pub use rows::{add_assign, add_row, layer_norm_rows, mean_rows, scale};
+pub use transcendental::{
+    exp, exp_slice, exp_slice_scalar, gelu, gelu_scalar, logsumexp, logsumexp_scalar, sigmoid,
+    sigmoid_slice, sigmoid_slice_scalar, softmax_rows, softmax_rows_scalar, tanh, tanh_slice,
+    tanh_slice_scalar, TANH_CROSSOVER,
+};
 
 use crate::matrix::{dot, sq_dist};
 #[cfg(target_arch = "x86_64")]

@@ -272,17 +272,6 @@ pub fn gelu_scalar(x: &[f32], out: &mut [f32], tanh_out: &mut [f32]) {
     }
 }
 
-/// [`gelu`] overwriting its input and keeping no `tanh`: the forward-only
-/// form, bitwise [`gelu`]'s `out`.
-pub fn gelu_in_place(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd_level() == SimdLevel::Avx2 {
-        // SAFETY: `simd_level` reports Avx2 only when the CPU has it.
-        return unsafe { avx2::gelu_in_place(xs) };
-    }
-    xs.iter_mut().for_each(|x| *x = gelu1(*x).0)
-}
-
 /// Numerically stable softmax of every `cols`-wide row of `x` into `out`:
 /// row max, `exp(x − max)` and its sum in the module's lane order, divide.
 pub fn softmax_rows(x: &[f32], cols: usize, out: &mut [f32]) {
@@ -440,11 +429,6 @@ mod avx2 {
             }
         }
         gelu_scalar(&x[body..], &mut out[body..], &mut tanh_out[body..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn gelu_in_place(xs: &mut [f32]) {
-        map_in_place(xs, |v| gelu8(v).0, |x| gelu1(x).0)
     }
 
     #[inline]

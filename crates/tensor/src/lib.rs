@@ -10,14 +10,16 @@
 //!   definitions with the GELU / softmax / log-sum-exp / sigmoid slice
 //!   kernels built on them; all picked at runtime, with the scalar bodies
 //!   kept as fallback and parity oracle; plus the row ops (bias add,
-//!   LayerNorm, mean-pool) the tape and `dial-tplm`'s graph-free forward
-//!   share;
+//!   LayerNorm, mean-pool) and every op's backward arithmetic, which the
+//!   tape and the graph-free forward and backward share;
 //! * [`ParamStore`] / [`ParamId`] — named trainable parameters with gradient
 //!   buffers, freezing, snapshot/restore (used to reset the matcher to its
 //!   pre-trained weights each active-learning round); values are shared
 //!   (`Arc`) with tapes, snapshots and clones, never copied to be read;
 //! * [`Grads`] — a gradient shard: what each worker of a data-parallel
-//!   step accumulates into while all of them read one store;
+//!   step accumulates into (through a [`GradSink`]) while all of them read
+//!   one store; a table's gradient records the rows it touched, so the
+//!   reduce, clipping and AdamW visit only those;
 //! * [`Graph`] / [`Var`] — a define-by-run tape with the ops needed by a
 //!   small transformer (matmul, softmax, layer-norm, GELU, gather, dropout)
 //!   and by DIAL's losses (row/cross squared distances, log-sum-exp, BCE,
@@ -26,10 +28,10 @@
 //!   linear no-warm-up schedule, plus plain SGD.
 //!
 //! The engine is strictly 2-D: sequences are `[seq_len, d]` matrices and
-//! batch parallelism is expressed *across* graphs (one graph per example,
-//! gradients accumulated into per-worker [`Grads`] shards and reduced in a
-//! fixed order), which is both simpler and faster at DIAL's model sizes
-//! than padded batched tensors.
+//! batch parallelism is expressed *across* examples (one forward and
+//! backward per example, gradients accumulated into per-shard [`Grads`]
+//! and reduced in a fixed order), which is both simpler and faster at
+//! DIAL's model sizes than padded batched tensors.
 //!
 //! # Determinism
 //!
@@ -83,4 +85,4 @@ pub mod params;
 pub use graph::{Graph, Var};
 pub use kernels::{logsumexp, sigmoid};
 pub use matrix::{dot, sq_dist, Matrix};
-pub use params::{Grads, ParamId, ParamStore, Snapshot};
+pub use params::{GradSink, Grads, ParamId, ParamStore, Snapshot};

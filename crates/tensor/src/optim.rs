@@ -7,6 +7,8 @@
 
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
+use rayon::prelude::*;
+use std::ops::Range;
 
 /// A learning-rate schedule evaluated per optimizer step.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,6 +56,9 @@ pub struct AdamW {
     step: usize,
     m: Vec<Matrix>,
     v: Vec<Matrix>,
+    /// Per parameter, the rows whose moments may be non-zero; `None`
+    /// once a dense gradient has reached it (every row, from then on).
+    live: Vec<Option<Vec<bool>>>,
 }
 
 impl AdamW {
@@ -71,6 +76,7 @@ impl AdamW {
     ) -> Self {
         let m = store.ids().map(|id| zeros_like(store.value(id))).collect();
         let v = store.ids().map(|id| zeros_like(store.value(id))).collect();
+        let live = store.ids().map(|id| Some(vec![false; store.value(id).rows()])).collect();
         AdamW {
             groups,
             default_lr,
@@ -82,6 +88,7 @@ impl AdamW {
             step: 0,
             m,
             v,
+            live,
         }
     }
 
@@ -110,37 +117,129 @@ impl AdamW {
         self.default_lr
     }
 
+    /// The first and second moments of `id` (all zero until it steps).
+    pub fn moments(&self, id: ParamId) -> (&Matrix, &Matrix) {
+        (&self.m[id.index()], &self.v[id.index()])
+    }
+
     /// Apply one update from the accumulated gradients, then zero them.
     /// Frozen parameters are skipped.
+    ///
+    /// A gradient that records its non-zero rows ([`crate::Grads`])
+    /// updates only the rows whose moments are, or now become, non-zero;
+    /// every other row takes the decay-only update `value -= lr·wd·value`.
+    /// That is the dense update's bits there: with `m = v = g = 0` its
+    /// Adam term is exactly `0`. A gradient without a row record (any
+    /// caller that writes whole buffers) takes the dense update.
+    ///
+    /// Every scalar's update reads only its own value, gradient and
+    /// moments, so the parameters are cut into blocks of rows that the
+    /// workers update in parallel: any cut gives the same bits.
     pub fn step(&mut self, store: &mut ParamStore) {
         self.step += 1;
         let t = self.step as i32;
         let sched = self.schedule.factor(self.step - 1);
-        let bc1 = 1.0 - self.beta1.powi(t);
-        let bc2 = 1.0 - self.beta2.powi(t);
-        let ids: Vec<ParamId> = store.ids().collect();
-        for id in ids {
-            if store.is_frozen(id) {
+        let h = Hyper {
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            wd: self.weight_decay,
+            bc1: 1.0 - self.beta1.powi(t),
+            bc2: 1.0 - self.beta2.powi(t),
+        };
+        let lrs: Vec<f32> = store.ids().map(|id| self.lr_for(store.name(id)) * sched).collect();
+        let mut blocks = Vec::new();
+        let moments = self.m.iter_mut().zip(&mut self.v).zip(&mut self.live);
+        for (((value, grad, touched, frozen), ((m, v), live)), lr) in
+            store.params_mut().zip(moments).zip(lrs)
+        {
+            if frozen {
                 continue;
             }
-            let lr = self.lr_for(store.name(id)) * sched;
-            let k = id.index();
-            let m = self.m[k].as_mut_slice();
-            let v = self.v[k].as_mut_slice();
-            let (value, grad) = store.value_mut_and_grad(id);
-            let (value, grad) = (value.as_mut_slice(), grad.as_slice());
-            for i in 0..grad.len() {
-                let g = grad[i];
-                m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g;
-                v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g * g;
-                let mhat = m[i] / bc1;
-                let vhat = v[i] / bc2;
-                // Decoupled weight decay: shrink first, then Adam step.
-                value[i] -= lr * self.weight_decay * value[i];
-                value[i] -= lr * mhat / (vhat.sqrt() + self.eps);
+            match (touched, live.as_mut()) {
+                (Some(rows), Some(live)) => rows.iter().for_each(|&r| live[r as usize] = true),
+                _ => *live = None,
+            }
+            let cols = m.cols().max(1);
+            let rows = (BLOCK_SCALARS / cols).max(1);
+            let len = rows * cols;
+            let parts = value
+                .as_mut_slice()
+                .chunks_mut(len)
+                .zip(grad.as_slice().chunks(len))
+                .zip(m.as_mut_slice().chunks_mut(len).zip(v.as_mut_slice().chunks_mut(len)));
+            for (j, ((value, grad), (m, v))) in parts.enumerate() {
+                let live = live.as_deref().map(|l| &l[j * rows..(j * rows + value.len() / cols)]);
+                blocks.push(RowBlock { value, grad, m, v, live, cols, lr });
             }
         }
+        blocks.into_par_iter().map(|b| b.update(&h)).collect::<Vec<()>>();
         store.zero_grads();
+    }
+}
+
+/// Scalars per block of rows in a parallel [`AdamW::step`].
+const BLOCK_SCALARS: usize = 1 << 16;
+
+/// The step-wide constants of an AdamW update.
+struct Hyper {
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    wd: f32,
+    /// Bias corrections `1 − β^t`.
+    bc1: f32,
+    bc2: f32,
+}
+
+/// Whole rows of one parameter: its value, gradient and moments, and
+/// which rows are live (`None`: all).
+struct RowBlock<'a> {
+    value: &'a mut [f32],
+    grad: &'a [f32],
+    m: &'a mut [f32],
+    v: &'a mut [f32],
+    live: Option<&'a [bool]>,
+    cols: usize,
+    lr: f32,
+}
+
+impl RowBlock<'_> {
+    fn update(self, h: &Hyper) {
+        let RowBlock { value, grad, m, v, live, cols, lr } = self;
+        let adam = |range: Range<usize>, value: &mut [f32], m: &mut [f32], v: &mut [f32]| {
+            let (value, grad) = (&mut value[range.clone()], &grad[range.clone()]);
+            let (m, v) = (&mut m[range.clone()], &mut v[range]);
+            for (((x, &g), m), v) in value.iter_mut().zip(grad).zip(m).zip(v) {
+                *m = h.beta1 * *m + (1.0 - h.beta1) * g;
+                *v = h.beta2 * *v + (1.0 - h.beta2) * g * g;
+                let mhat = *m / h.bc1;
+                let vhat = *v / h.bc2;
+                // Decoupled weight decay: shrink first, then Adam step.
+                *x -= lr * h.wd * *x;
+                *x -= lr * mhat / (vhat.sqrt() + h.eps);
+            }
+        };
+        let Some(live) = live else {
+            return adam(0..grad.len(), value, m, v);
+        };
+        // Runs of live rows take the full update, runs of idle rows the
+        // decay-only one.
+        let mut start = 0;
+        while start < live.len() {
+            let is_live = live[start];
+            let end =
+                live[start..].iter().position(|&l| l != is_live).map_or(live.len(), |k| start + k);
+            let range = start * cols..end * cols;
+            if is_live {
+                adam(range, value, m, v);
+            } else {
+                for x in &mut value[range] {
+                    *x -= lr * h.wd * *x;
+                }
+            }
+            start = end;
+        }
     }
 }
 
@@ -157,13 +256,10 @@ impl Sgd {
 
     /// One descent step from accumulated gradients; zeroes them after.
     pub fn step(&self, store: &mut ParamStore) {
-        let ids: Vec<ParamId> = store.ids().collect();
-        for id in ids {
-            if store.is_frozen(id) {
-                continue;
+        for (value, grad, _, frozen) in store.params_mut() {
+            if !frozen {
+                value.axpy(-self.lr, grad);
             }
-            let (value, grad) = store.value_mut_and_grad(id);
-            value.axpy(-self.lr, grad);
         }
         store.zero_grads();
     }

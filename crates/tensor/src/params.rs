@@ -1,9 +1,11 @@
 //! Parameter store: named, trainable matrices plus their gradient buffers.
 //!
 //! A [`ParamStore`] owns every trainable matrix of a model. Forward passes
-//! build a fresh [`crate::graph::Graph`] per batch that *reads* parameter
-//! values; `Graph::backward` *accumulates* into the store's gradient
-//! buffers. Optimizers then walk the store.
+//! — a fresh [`crate::graph::Graph`] per batch, or a tapeless forward on
+//! plain buffers — *read* parameter values; `Graph::backward` and the
+//! tapeless backward *accumulate* into gradient buffers through a
+//! [`GradSink`], the store's own or a worker's [`Grads`] shard. Optimizers
+//! then walk the store.
 //!
 //! Values are held as `Arc<Matrix>`: a tape node reading a parameter, a
 //! [`Snapshot`] and a cloned store all *share* the matrix, and the first
@@ -13,6 +15,7 @@
 //! active learning round (paper §4.2: no warm start between rounds) — and
 //! reading weights onto one tape per example free of copies.
 
+use crate::kernels;
 use crate::matrix::Matrix;
 use std::sync::Arc;
 
@@ -40,37 +43,152 @@ pub struct ParamStore {
 
 /// One gradient buffer per parameter of the store that made it
 /// ([`ParamStore::new_grads`]). Data-parallel training gives each worker
-/// one of these to accumulate into
-/// ([`Graph::backward_into`](crate::graph::Graph::backward_into)) while
-/// every worker reads the same store, then reduces them in a fixed order
-/// with [`ParamStore::accumulate_grads_from`].
+/// one of these to accumulate into (through a [`GradSink`]) while every
+/// worker reads the same store, then reduces them in a fixed order with
+/// [`ParamStore::accumulate_grads_from`].
+///
+/// Each buffer also knows which of its rows may be non-zero. A row added
+/// through [`GradSink::add_row`] (an embedding table's gathered rows) is
+/// recorded; any other write marks the whole buffer. Zeroing, reducing,
+/// rescaling, clipping and [`AdamW`](crate::optim::AdamW) then visit only
+/// the recorded rows. That is exact: every other row is `+0.0`, which
+/// adds nothing to a sum, scales to itself and leaves a row's moments at
+/// zero.
 #[derive(Debug, Clone, Default)]
-pub struct Grads(Vec<Matrix>);
+pub struct Grads {
+    bufs: Vec<Matrix>,
+    touched: Vec<Touched>,
+}
 
-impl Grads {
-    /// Zero every buffer (keeps allocations).
-    pub fn fill_zero(&mut self) {
-        for g in &mut self.0 {
-            g.fill_zero();
+/// Which rows of one gradient buffer may be non-zero; all others are
+/// `+0.0`.
+#[derive(Debug, Clone)]
+enum Touched {
+    /// Any row.
+    All,
+    /// Only these, ascending and distinct.
+    Rows(Vec<u32>),
+}
+
+impl Touched {
+    /// The recorded rows, or `None` if any row may be non-zero.
+    fn rows(&self) -> Option<&[u32]> {
+        match self {
+            Touched::All => None,
+            Touched::Rows(rows) => Some(rows),
+        }
+    }
+
+    fn insert(&mut self, row: u32) {
+        if let Touched::Rows(rows) = self {
+            if let Err(at) = rows.binary_search(&row) {
+                rows.insert(at, row);
+            }
         }
     }
 }
 
+/// `f(row)` for every row of `m` that `touched` says may be non-zero.
+fn for_touched_rows(m: &mut Matrix, touched: &Touched, mut f: impl FnMut(&mut [f32])) {
+    match touched.rows() {
+        None => f(m.as_mut_slice()),
+        Some(rows) => rows.iter().for_each(|&r| f(m.row_mut(r as usize))),
+    }
+}
+
+/// `m.sq_norm()` read only from the rows `touched` names: the same lanes
+/// and order as [`crate::matrix::dot`], which the skipped rows (all
+/// `+0.0`) could not change.
+fn touched_sq_norm(m: &Matrix, touched: &Touched) -> f32 {
+    let Some(rows) = touched.rows() else { return m.sq_norm() };
+    let (cols, body) = (m.cols(), m.len() / 4 * 4);
+    let mut acc = [0.0f32; 4];
+    let mut tail = Vec::new();
+    for &r in rows {
+        for (i, &x) in (r as usize * cols..).zip(m.row(r as usize)) {
+            if i < body {
+                acc[i % 4] += x * x;
+            } else {
+                tail.push(x * x);
+            }
+        }
+    }
+    let mut s = acc[0] + acc[1] + acc[2] + acc[3];
+    for t in tail {
+        s += t;
+    }
+    s
+}
+
+impl Grads {
+    /// Zero every buffer (keeps allocations): only the recorded rows of a
+    /// row-tracked buffer, which then records none.
+    pub fn fill_zero(&mut self) {
+        for (g, t) in self.bufs.iter_mut().zip(&mut self.touched) {
+            for_touched_rows(g, t, |row| row.fill(0.0));
+            match t {
+                Touched::Rows(rows) => rows.clear(),
+                Touched::All => *t = Touched::Rows(Vec::new()),
+            }
+        }
+    }
+
+    /// The gradient buffer of `id`.
+    pub fn get(&self, id: ParamId) -> &Matrix {
+        &self.bufs[id.0]
+    }
+
+    /// The rows of `id`'s buffer that may be non-zero, ascending, or
+    /// `None` if any may be.
+    pub fn touched_rows(&self, id: ParamId) -> Option<&[u32]> {
+        self.touched[id.0].rows()
+    }
+
+    /// Whole-buffer access; the buffer stops tracking rows.
+    fn whole_mut(&mut self, k: usize) -> &mut Matrix {
+        self.touched[k] = Touched::All;
+        &mut self.bufs[k]
+    }
+}
+
 /// Where a backward pass writes parameter gradients: a set of buffers
-/// plus the frozen flags that say which of them to leave alone.
-pub(crate) struct GradSink<'a> {
+/// plus the frozen flags that say which of them to leave alone
+/// ([`ParamStore::grad_sink_into`]).
+pub struct GradSink<'a> {
     frozen: &'a [bool],
     grads: &'a mut Grads,
 }
 
 impl GradSink<'_> {
-    /// The gradient buffer of `id`, or `None` if the parameter is frozen.
+    /// The gradient buffer of `id`, or `None` if the parameter is frozen;
+    /// the buffer stops tracking rows.
     pub(crate) fn grad_mut(&mut self, id: ParamId) -> Option<&mut Matrix> {
         if self.frozen[id.0] {
             None
         } else {
-            Some(&mut self.grads.0[id.0])
+            Some(self.grads.whole_mut(id.0))
         }
+    }
+
+    /// `grad[id] += delta` over the whole buffer (nothing if frozen).
+    pub fn add(&mut self, id: ParamId, delta: &[f32]) {
+        if let Some(g) = self.grad_mut(id) {
+            kernels::add_assign(g.as_mut_slice(), delta);
+        }
+    }
+
+    /// `grad[id][row] += delta` for one row of a table, recording the row
+    /// (nothing if frozen). This is a gather's backward: called once per
+    /// gathered position, in position order.
+    pub fn add_row(&mut self, id: ParamId, row: usize, delta: &[f32]) {
+        if self.frozen[id.0] {
+            return;
+        }
+        let k = id.0;
+        for (d, s) in self.grads.bufs[k].row_mut(row).iter_mut().zip(delta) {
+            *d += s;
+        }
+        self.grads.touched[k].insert(row as u32);
     }
 }
 
@@ -89,7 +207,8 @@ impl ParamStore {
     /// Register a new trainable matrix and return its handle.
     pub fn add(&mut self, name: impl Into<String>, value: Matrix) -> ParamId {
         let id = ParamId(self.values.len());
-        self.grads.0.push(Matrix::zeros(value.rows(), value.cols()));
+        self.grads.bufs.push(Matrix::zeros(value.rows(), value.cols()));
+        self.grads.touched.push(Touched::Rows(Vec::new()));
         self.values.push(Arc::new(value));
         self.names.push(name.into());
         self.frozen.push(false);
@@ -129,22 +248,41 @@ impl ParamStore {
     }
 
     pub fn grad(&self, id: ParamId) -> &Matrix {
-        &self.grads.0[id.0]
+        self.grads.get(id)
     }
 
+    /// Mutable access to a gradient; it stops tracking rows.
     pub fn grad_mut(&mut self, id: ParamId) -> &mut Matrix {
-        &mut self.grads.0[id.0]
+        self.grads.whole_mut(id.0)
     }
 
-    /// A value (made unique as in [`ParamStore::value_mut`]) together with
-    /// its gradient — what an optimizer step reads and writes.
-    pub(crate) fn value_mut_and_grad(&mut self, id: ParamId) -> (&mut Matrix, &Matrix) {
-        (Arc::make_mut(&mut self.values[id.0]), &self.grads.0[id.0])
+    /// The rows of `id`'s gradient that may be non-zero, ascending, or
+    /// `None` if any may be ([`Grads`]).
+    pub fn grad_touched_rows(&self, id: ParamId) -> Option<&[u32]> {
+        self.grads.touched_rows(id)
+    }
+
+    /// Every parameter in id order: its value (made unique as in
+    /// [`ParamStore::value_mut`]), its gradient, the gradient's non-zero
+    /// rows (`None`: any) and whether it is frozen — what an optimizer
+    /// step reads and writes.
+    pub(crate) fn params_mut(
+        &mut self,
+    ) -> impl Iterator<Item = (&mut Matrix, &Matrix, Option<&[u32]>, bool)> {
+        let Grads { bufs, touched } = &self.grads;
+        self.values
+            .iter_mut()
+            .zip(bufs.iter().zip(touched))
+            .zip(&self.frozen)
+            .map(|((v, (g, t)), &f)| (Arc::make_mut(v), g, t.rows(), f))
     }
 
     /// Zeroed gradient buffers laid out like this store's.
     pub fn new_grads(&self) -> Grads {
-        Grads(self.values.iter().map(|v| Matrix::zeros(v.rows(), v.cols())).collect())
+        Grads {
+            bufs: self.values.iter().map(|v| Matrix::zeros(v.rows(), v.cols())).collect(),
+            touched: vec![Touched::Rows(Vec::new()); self.values.len()],
+        }
     }
 
     /// Backward passes into the store's own gradient buffers.
@@ -152,9 +290,10 @@ impl ParamStore {
         GradSink { frozen: &self.frozen, grads: &mut self.grads }
     }
 
-    /// Backward passes into `grads`, under this store's frozen flags.
-    pub(crate) fn grad_sink_into<'a>(&'a self, grads: &'a mut Grads) -> GradSink<'a> {
-        assert_eq!(grads.0.len(), self.values.len(), "param layout mismatch");
+    /// Backward passes into `grads` (made by [`ParamStore::new_grads`]),
+    /// under this store's frozen flags.
+    pub fn grad_sink_into<'a>(&'a self, grads: &'a mut Grads) -> GradSink<'a> {
+        assert_eq!(grads.bufs.len(), self.values.len(), "param layout mismatch");
         GradSink { frozen: &self.frozen, grads }
     }
 
@@ -189,7 +328,23 @@ impl ParamStore {
 
     /// Sum of squared gradient norms over unfrozen parameters.
     pub fn grad_sq_norm(&self) -> f32 {
-        self.grads.0.iter().zip(&self.frozen).filter(|(_, f)| !**f).map(|(g, _)| g.sq_norm()).sum()
+        let Grads { bufs, touched } = &self.grads;
+        bufs.iter()
+            .zip(touched)
+            .zip(&self.frozen)
+            .filter(|(_, f)| !**f)
+            .map(|((g, t), _)| touched_sq_norm(g, t))
+            .sum()
+    }
+
+    /// Multiply every unfrozen gradient by `alpha`.
+    pub fn scale_grads(&mut self, alpha: f32) {
+        let Grads { bufs, touched } = &mut self.grads;
+        for ((g, t), f) in bufs.iter_mut().zip(&*touched).zip(&self.frozen) {
+            if !*f {
+                for_touched_rows(g, t, |row| kernels::scale(row, alpha));
+            }
+        }
     }
 
     /// Globally rescale unfrozen gradients so their joint L2 norm is at most
@@ -197,23 +352,32 @@ impl ParamStore {
     pub fn clip_grad_norm(&mut self, max_norm: f32) -> f32 {
         let norm = self.grad_sq_norm().sqrt();
         if norm > max_norm && norm > 0.0 {
-            let scale = max_norm / norm;
-            for (g, f) in self.grads.0.iter_mut().zip(&self.frozen) {
-                if !*f {
-                    g.scale(scale);
-                }
-            }
+            self.scale_grads(max_norm / norm);
         }
         norm
     }
 
     /// Add a gradient shard made by [`ParamStore::new_grads`] into the
     /// store's own buffers; this is how per-thread shards are reduced after
-    /// a rayon map. Calling it shard by shard keeps every sum's order.
+    /// a rayon map. Calling it shard by shard keeps every sum's order. A
+    /// row-tracked shard buffer adds only its recorded rows, and the
+    /// store's buffer records them too.
     pub fn accumulate_grads_from(&mut self, other: &Grads) {
-        assert_eq!(self.values.len(), other.0.len(), "param layout mismatch");
-        for (mine, theirs) in self.grads.0.iter_mut().zip(&other.0) {
-            mine.add_assign(theirs);
+        assert_eq!(self.values.len(), other.bufs.len(), "param layout mismatch");
+        let mine = &mut self.grads;
+        for (k, (theirs, t)) in other.bufs.iter().zip(&other.touched).enumerate() {
+            match t.rows() {
+                None => mine.whole_mut(k).add_assign(theirs),
+                Some(rows) => {
+                    for &r in rows {
+                        kernels::add_assign(
+                            mine.bufs[k].row_mut(r as usize),
+                            theirs.row(r as usize),
+                        );
+                        mine.touched[k].insert(r);
+                    }
+                }
+            }
         }
     }
 
@@ -293,7 +457,7 @@ mod tests {
         let (mut s, a, _) = store_with_two();
         let mut shard = s.new_grads();
         s.grad_mut(a).as_mut_slice()[0] = 1.0;
-        shard.0[a.0].as_mut_slice()[0] = 2.0;
+        shard.whole_mut(a.0).as_mut_slice()[0] = 2.0;
         s.accumulate_grads_from(&shard);
         assert_eq!(s.grad(a).get(0, 0), 3.0);
         shard.fill_zero();

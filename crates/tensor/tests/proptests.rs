@@ -351,10 +351,6 @@ proptest! {
             kernels::gelu_scalar(x, &mut slow.0, &mut slow.1);
             assert_same_bits(&fast.0, &slow.0, &format!("gelu len {len} offset {off}"));
             assert_same_bits(&fast.1, &slow.1, &format!("gelu tanh len {len} offset {off}"));
-            // The forward-only form is `gelu`'s `out`.
-            let mut in_place = x.to_vec();
-            kernels::gelu_in_place(&mut in_place);
-            assert_same_bits(&in_place, &slow.0, &format!("gelu_in_place len {len} offset {off}"));
         });
     }
 
@@ -375,3 +371,105 @@ proptest! {
         });
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// AdamW, clipping and the shard reduce over a row-tracked table
+    /// gradient against the same gradients written whole-buffer (the
+    /// dense path): after every step the values, both moments and the
+    /// pre-clip norm carry the same bits.
+    #[test]
+    fn touched_row_optimizer_matches_the_dense_path_bitwise(
+        seed in 0u64..1000,
+        // A table width below, at and past `dot`'s four lanes.
+        cols in 1usize..7,
+        // Per step, per position: (row, shard).
+        steps in proptest::collection::vec(
+            proptest::collection::vec((0usize..ROWS - 1, 0usize..2), 0..7),
+            2..10,
+        ),
+        clip_active in 0u8..2,
+    ) {
+        use dial_tensor::optim::{AdamW, LrGroup, Schedule};
+        use dial_tensor::Grads;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut store = ParamStore::new();
+        let table = store.add("t.table", dial_tensor::init::normal(ROWS, cols, 1.0, &mut rng));
+        let bias = store.add("bias", dial_tensor::init::normal(1, 3, 1.0, &mut rng));
+        let mut dense = store.clone();
+        // The schedule reaches 0 halfway and stays there.
+        let new_opt = |s: &ParamStore| {
+            let groups = vec![LrGroup { prefix: "t.".into(), lr: 3e-2 }];
+            let mut opt = AdamW::with_groups(s, 1e-2, groups, Schedule::LinearDecay { total_steps: steps.len() / 2 });
+            opt.set_weight_decay(0.1);
+            opt
+        };
+        let (mut opt, mut opt_dense) = (new_opt(&store), new_opt(&dense));
+        let max_norm = if clip_active == 1 { 1e-2 } else { 1e6 };
+        let mut shards: Vec<Grads> = vec![store.new_grads(); 2];
+        let mut dense_shards: Vec<Grads> = vec![store.new_grads(); 2];
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        for (t, positions) in steps.iter().enumerate() {
+            // The last row is touched at the first step only, then idles.
+            let mut positions = positions.clone();
+            if t == 0 {
+                positions.push((ROWS - 1, 1));
+            }
+            shards.iter_mut().chain(&mut dense_shards).for_each(Grads::fill_zero);
+            for (k, (shard, dense_shard)) in shards.iter_mut().zip(&mut dense_shards).enumerate() {
+                let rows: Vec<u32> =
+                    positions.iter().filter(|p| p.1 == k).map(|p| p.0 as u32).collect();
+                let coef = Matrix::from_vec(
+                    rows.len(),
+                    cols,
+                    (0..rows.len() * cols).map(|_| rng.gen_range(-2.0f32..2.0)).collect(),
+                );
+                let bias_coef = Matrix::from_vec(1, 3, (0..3).map(|_| rng.gen_range(-2.0f32..2.0)).collect());
+                // Row-tracked: the table through the tape's gather.
+                let mut g = Graph::new();
+                let e = g.gather(&store, table, &rows);
+                let c = g.input(coef.clone());
+                let ec = g.mul(e, c);
+                let b = g.param(&store, bias);
+                let bc = g.input(bias_coef.clone());
+                let bbc = g.mul(b, bc);
+                let (l1, l2) = (g.sum(ec), g.sum(bbc));
+                let loss = g.add(l1, l2);
+                g.backward_into(loss, &store, shard);
+                // Dense: the same rows as whole-buffer adds, zero-padded.
+                let mut sink = dense.grad_sink_into(dense_shard);
+                for (p, &r) in rows.iter().enumerate() {
+                    let mut padded = Matrix::zeros(ROWS, cols);
+                    padded.row_mut(r as usize).copy_from_slice(coef.row(p));
+                    sink.add(table, padded.as_slice());
+                }
+                sink.add(bias, bias_coef.as_slice());
+            }
+            for (s, shards) in [(&mut store, &shards), (&mut dense, &dense_shards)] {
+                shards.iter().for_each(|shard| s.accumulate_grads_from(shard));
+                s.scale_grads(0.5);
+            }
+            prop_assert!(store.grad_touched_rows(table).is_some());
+            prop_assert_eq!(dense.grad_touched_rows(table).is_none(), !positions.is_empty());
+            let (norm, dense_norm) = (store.clip_grad_norm(max_norm), dense.clip_grad_norm(max_norm));
+            prop_assert_eq!(norm.to_bits(), dense_norm.to_bits(), "pre-clip norm, step {}", t);
+            opt.step(&mut store);
+            opt_dense.step(&mut dense);
+            for id in [table, bias] {
+                prop_assert_eq!(bits(store.value(id)), bits(dense.value(id)), "{} after step {}", store.name(id), t);
+                let ((m, v), (dm, dv)) = (opt.moments(id), opt_dense.moments(id));
+                prop_assert_eq!(bits(m), bits(dm), "first moment of {}", store.name(id));
+                prop_assert_eq!(bits(v), bits(dv), "second moment of {}", store.name(id));
+                prop_assert_eq!(store.grad(id).sq_norm(), 0.0);
+            }
+        }
+    }
+}
+
+/// Rows of the table in the touched-row optimizer test.
+const ROWS: usize = 12;

@@ -14,10 +14,12 @@
 //! distributional token semantics via skip-gram negative sampling and can
 //! simulate multilingual BERT's noisy cross-lingual alignment.
 //!
-//! Training runs the encoder on a `dial_tensor::Graph` tape
-//! ([`Tplm::encode`]); everything that is not differentiated — list
-//! encoding, candidate scoring — runs the same kernel calls graph-free into
-//! a reusable [`EncodeScratch`] ([`Tplm::encode_into`]), bitwise equal.
+//! The encoder runs on a `dial_tensor::Graph` tape ([`Tplm::encode`]) and
+//! without one, issuing the same kernel calls on a reusable
+//! [`EncodeScratch`]: [`Tplm::encode_into`] for what is not differentiated
+//! (list encoding, candidate scoring), [`Tplm::encode_train`] and
+//! [`Tplm::backward`] for the matcher's fine-tuning. All three are bitwise
+//! the tape's, which stays as their parity oracle.
 //!
 //! Trunk parameters are registered under the [`TRUNK_PREFIX`] name prefix so
 //! callers can freeze the trunk (blocker) or give it a smaller learning rate

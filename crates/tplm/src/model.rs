@@ -17,7 +17,7 @@
 //! implements the paper's per-round reset to pre-trained weights.
 
 use crate::config::TplmConfig;
-use dial_tensor::{init, kernels, Graph, Matrix, ParamId, ParamStore, Var};
+use dial_tensor::{init, kernels, GradSink, Graph, Matrix, ParamId, ParamStore, Var};
 use dial_text::TokenId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,26 +49,99 @@ pub struct Tplm {
     layers: Vec<LayerParams>,
 }
 
-/// Buffers of the graph-free forward ([`Tplm::encode_into`]): sized on
-/// first use, then reused across sequences of any length. `x` (`[n, d]`)
-/// holds the running activations and the output; `q`, `k`, `v` the
-/// projections, `q` then each sub-layer's output; `qh`, `kh`, `vh`
-/// (`[n, d_head]`) one head's contiguous slices, `qh` then its output;
-/// `scores` and `attn` (`[n, n]`) its scores and their softmax; `concat`
-/// the heads' outputs side by side; `ffn` is `[n, d_ff]`.
+/// Buffers of the graph-free forward and backward ([`Tplm::encode_into`],
+/// [`Tplm::encode_train`], [`Tplm::backward`]): sized on first use, then
+/// reused across sequences of any length.
+///
+/// Under training every layer keeps its activations in a set of buffers
+/// of its own, which is what the backward reads; inference runs every
+/// layer on the first set, so nothing outlives its layer.
 #[derive(Debug, Default)]
 pub struct EncodeScratch {
+    layers: Vec<LayerActs>,
+    /// The output `[n, d]`.
+    out: Vec<f32>,
+    /// `[n, d]`: each projection before it is split into heads, then each
+    /// sub-layer's output.
+    proj: Vec<f32>,
+    /// One head's scores `[n, n]` and output `[n, d_head]`.
+    scores: Vec<f32>,
+    head: Vec<f32>,
+    /// Whether the last forward applied dropout masks.
+    dropped: bool,
+    grad: TrunkGrads,
+}
+
+/// One layer's activations: everything [`Tplm::backward`] reads.
+#[derive(Debug, Default)]
+struct LayerActs {
+    /// The layer's input `[n, d]`.
     x: Vec<f32>,
-    q: Vec<f32>,
-    k: Vec<f32>,
-    v: Vec<f32>,
+    /// q, k and v split into heads: head `h`'s `[n, d_head]` block starts
+    /// at `h·n·d_head`.
     qh: Vec<f32>,
     kh: Vec<f32>,
     vh: Vec<f32>,
-    scores: Vec<f32>,
+    /// Each head's attention probabilities `[n, n]`, head after head.
     attn: Vec<f32>,
+    /// The heads' outputs side by side `[n, d]`.
     concat: Vec<f32>,
+    /// Dropout masks on the attention and feed-forward outputs `[n, d]`.
+    mask_attn: Vec<f32>,
+    mask_ffn: Vec<f32>,
+    /// The inputs of the two LayerNorms `[n, d]`, and the first one's
+    /// output.
+    res1: Vec<f32>,
+    x1: Vec<f32>,
+    res2: Vec<f32>,
+    /// GELU's input, its saved `tanh` and its output `[n, d_ff]`.
+    ffn_in: Vec<f32>,
+    ffn_tanh: Vec<f32>,
     ffn: Vec<f32>,
+}
+
+/// Gradient buffers of [`Tplm::backward`], named after the value whose
+/// gradient they hold.
+#[derive(Debug, Default)]
+struct TrunkGrads {
+    /// The residual stream at the current point `[n, d]`.
+    x: Vec<f32>,
+    /// A LayerNorm's input, the first LayerNorm's output, a sub-layer's
+    /// output, a projection's input before it is added `[n, d]`.
+    res: Vec<f32>,
+    x1: Vec<f32>,
+    sub: Vec<f32>,
+    input: Vec<f32>,
+    /// The feed-forward's hidden layer `[n, d_ff]`.
+    ffn: Vec<f32>,
+    /// The heads' concatenation, and q, k, v `[n, d]`.
+    concat: Vec<f32>,
+    q: Vec<f32>,
+    k: Vec<f32>,
+    v: Vec<f32>,
+    /// One head's output, q, k, v slices `[n, d_head]`; its probabilities
+    /// and scores `[n, n]`.
+    head: Vec<f32>,
+    qh: Vec<f32>,
+    kh: Vec<f32>,
+    vh: Vec<f32>,
+    attn: Vec<f32>,
+    scores: Vec<f32>,
+    /// Parameter gradients: a `[d, d]` weight, a feed-forward weight
+    /// (`[d, d_ff]` or `[d_ff, d]`), a width-`d` row, a width-`d_ff` row,
+    /// a LayerNorm gain.
+    w: Vec<f32>,
+    w_ff: Vec<f32>,
+    row: Vec<f32>,
+    row_ff: Vec<f32>,
+    gain: Vec<f32>,
+}
+
+/// Resize every buffer in `bufs` to `len`.
+fn size<const N: usize>(bufs: [&mut Vec<f32>; N], len: usize) {
+    for b in bufs {
+        b.resize(len, 0.0);
+    }
 }
 
 /// Columns `lo..lo + w` of every `cols`-wide row of `src`, packed into
@@ -76,6 +149,27 @@ pub struct EncodeScratch {
 fn copy_cols(src: &[f32], cols: usize, lo: usize, dst: &mut [f32], w: usize) {
     for (d, s) in dst.chunks_exact_mut(w).zip(src.chunks_exact(cols)) {
         d.copy_from_slice(&s[lo..lo + w]);
+    }
+}
+
+/// The tape's gradient of a column slice (`Graph::slice_cols`) landing on
+/// its source: `src` (`[n, w]`) zero-padded to columns `lo..lo + w` of
+/// `d`-wide rows, copied into `dst` if it is the first contribution and
+/// added otherwise. The padding is added too: `+0.0` turns a `-0.0` into
+/// `+0.0`, as on the tape.
+fn acc_cols(dst: &mut [f32], src: &[f32], d: usize, lo: usize, first: bool) {
+    let w = src.len() / (dst.len() / d).max(1);
+    for (row, s) in dst.chunks_exact_mut(d).zip(src.chunks_exact(w.max(1))) {
+        let (before, rest) = row.split_at_mut(lo);
+        let (mid, after) = rest.split_at_mut(w);
+        if first {
+            before.fill(0.0);
+            mid.copy_from_slice(s);
+            after.fill(0.0);
+        } else {
+            before.iter_mut().chain(after.iter_mut()).for_each(|v| *v += 0.0);
+            kernels::add_assign(mid, s);
+        }
     }
 }
 
@@ -165,8 +259,8 @@ impl Tplm {
     }
 
     /// Encode a token sequence to contextual embeddings `[n, d]` on the
-    /// tape — what training differentiates, and the bitwise oracle of
-    /// [`Tplm::encode_into`].
+    /// tape — the bitwise oracle of [`Tplm::encode_into`],
+    /// [`Tplm::encode_train`] and [`Tplm::backward`].
     ///
     /// `dropout > 0` requires `rng`; pass `0.0` for inference.
     pub fn encode(
@@ -249,70 +343,253 @@ impl Tplm {
 
     /// [`Tplm::encode`] at `dropout = 0` without a tape: the contextual
     /// embeddings `[n, d]`, computed in `scratch` and borrowed from it.
-    ///
-    /// Issues the kernel calls `encode` issues, in its order, on buffers
-    /// instead of graph nodes, so the result is bitwise `encode`'s. Nothing
-    /// is kept for a backward pass.
+    /// Nothing is kept for a backward pass.
     pub fn encode_into<'s>(
         &self,
         store: &ParamStore,
         ids: &[TokenId],
         scratch: &'s mut EncodeScratch,
     ) -> &'s [f32] {
+        self.forward(store, ids, None, scratch)
+    }
+
+    /// [`Tplm::encode`] without a tape, keeping in `scratch` what
+    /// [`Tplm::backward`] reads. Dropout masks are drawn from `rng` in the
+    /// tape's order, so with the same `rng` the output is bitwise
+    /// `encode`'s.
+    pub fn encode_train<'s>(
+        &self,
+        store: &ParamStore,
+        ids: &[TokenId],
+        dropout: f32,
+        rng: &mut StdRng,
+        scratch: &'s mut EncodeScratch,
+    ) -> &'s [f32] {
+        assert!((0.0..1.0).contains(&dropout), "dropout probability must be in [0, 1)");
+        self.forward(store, ids, Some((dropout, rng)), scratch)
+    }
+
+    /// The forward behind [`Tplm::encode_into`] (`train = None`) and
+    /// [`Tplm::encode_train`]. Issues the kernel calls `encode` issues, in
+    /// its order, on buffers instead of graph nodes.
+    fn forward<'s>(
+        &self,
+        store: &ParamStore,
+        ids: &[TokenId],
+        mut train: Option<(f32, &mut StdRng)>,
+        scratch: &'s mut EncodeScratch,
+    ) -> &'s [f32] {
         self.check_len(ids);
         let (n, d, dh, d_ff) =
             (ids.len(), self.config.d_model, self.config.d_head(), self.config.d_ff);
-        let s = scratch;
+        let heads = self.config.n_heads;
+        let keep = train.is_some();
+        let EncodeScratch { layers, out, proj, scores, head, dropped, .. } = scratch;
+        *dropped = train.as_ref().is_some_and(|(p, _)| *p > 0.0);
+        let slots = if keep { self.layers.len() } else { 1 };
+        if layers.len() < slots {
+            layers.resize_with(slots, LayerActs::default);
+        }
         let (tok, pos) = (store.value(self.tok_emb), store.value(self.pos_emb));
-        s.x.clear();
+        let x = &mut layers[0].x;
+        x.clear();
         for (p, &id) in ids.iter().enumerate() {
-            s.x.extend(tok.row(id as usize).iter().zip(pos.row(p)).map(|(t, p)| t + p));
+            x.extend(tok.row(id as usize).iter().zip(pos.row(p)).map(|(t, p)| t + p));
         }
-        for buf in [&mut s.q, &mut s.k, &mut s.v, &mut s.concat] {
-            buf.resize(n * d, 0.0);
-        }
-        for buf in [&mut s.qh, &mut s.kh, &mut s.vh] {
-            buf.resize(n * dh, 0.0);
-        }
-        for buf in [&mut s.scores, &mut s.attn] {
-            buf.resize(n * n, 0.0);
-        }
-        s.ffn.resize(n * d_ff, 0.0);
+        proj.resize(n * d, 0.0);
+        scores.resize(n * n, 0.0);
+        head.resize(n * dh, 0.0);
 
         let w = |id: ParamId| store.value(id).as_slice();
         let scale = 1.0 / (dh as f32).sqrt();
-        for layer in &self.layers {
+        for (l, layer) in self.layers.iter().enumerate() {
+            let a = &mut layers[if keep { l } else { 0 }];
+            size([&mut a.qh, &mut a.kh, &mut a.vh, &mut a.concat], n * d);
+            size([&mut a.res1, &mut a.x1, &mut a.res2], n * d);
+            size([&mut a.ffn_in, &mut a.ffn_tanh, &mut a.ffn], n * d_ff);
+            a.attn.resize(heads * n * n, 0.0);
+
             // ---- multi-head self-attention ----
-            kernels::matmul(&s.x, w(layer.wq), n, d, d, &mut s.q);
-            kernels::matmul(&s.x, w(layer.wk), n, d, d, &mut s.k);
-            kernels::matmul(&s.x, w(layer.wv), n, d, d, &mut s.v);
-            for lo in (0..d).step_by(dh) {
-                copy_cols(&s.q, d, lo, &mut s.qh, dh);
-                copy_cols(&s.k, d, lo, &mut s.kh, dh);
-                copy_cols(&s.v, d, lo, &mut s.vh, dh);
-                kernels::matmul_t(&s.qh, &s.kh, n, n, dh, &mut s.scores);
-                kernels::scale(&mut s.scores, scale);
-                kernels::softmax_rows(&s.scores, n, &mut s.attn);
-                kernels::matmul(&s.attn, &s.vh, n, n, dh, &mut s.qh);
-                for (row, head) in s.concat.chunks_exact_mut(d).zip(s.qh.chunks_exact(dh)) {
-                    row[lo..lo + dh].copy_from_slice(head);
+            for (wt, split) in [(layer.wq, &mut a.qh), (layer.wk, &mut a.kh), (layer.wv, &mut a.vh)]
+            {
+                kernels::matmul(&a.x, w(wt), n, d, d, proj);
+                for (h, blk) in split.chunks_exact_mut(n * dh).enumerate() {
+                    copy_cols(proj, d, h * dh, blk, dh);
                 }
             }
-            kernels::matmul(&s.concat, w(layer.wo), n, d, d, &mut s.q);
-            kernels::add_row(&mut s.q, w(layer.bo));
-            kernels::add_assign(&mut s.x, &s.q);
-            kernels::layer_norm_rows(&mut s.x, w(layer.ln1_gain), w(layer.ln1_bias));
+            for h in 0..heads {
+                let (blk, probs) = (h * n * dh..(h + 1) * n * dh, h * n * n..(h + 1) * n * n);
+                let attn = &mut a.attn[probs];
+                kernels::matmul_t(&a.qh[blk.clone()], &a.kh[blk.clone()], n, n, dh, scores);
+                kernels::scale(scores, scale);
+                kernels::softmax_rows(scores, n, attn);
+                kernels::matmul(attn, &a.vh[blk], n, n, dh, head);
+                for (row, hrow) in a.concat.chunks_exact_mut(d).zip(head.chunks_exact(dh)) {
+                    row[h * dh..(h + 1) * dh].copy_from_slice(hrow);
+                }
+            }
+            kernels::matmul(&a.concat, w(layer.wo), n, d, d, proj);
+            kernels::add_row(proj, w(layer.bo));
+            if let Some((p, rng)) = &mut train {
+                kernels::dropout(*p, &mut **rng, &mut a.mask_attn, proj);
+            }
+            a.res1.copy_from_slice(&a.x);
+            kernels::add_assign(&mut a.res1, proj);
+            a.x1.copy_from_slice(&a.res1);
+            kernels::layer_norm_rows(&mut a.x1, w(layer.ln1_gain), w(layer.ln1_bias));
 
             // ---- feed-forward ----
-            kernels::matmul(&s.x, w(layer.ff_w1), n, d, d_ff, &mut s.ffn);
-            kernels::add_row(&mut s.ffn, w(layer.ff_b1));
-            kernels::gelu_in_place(&mut s.ffn);
-            kernels::matmul(&s.ffn, w(layer.ff_w2), n, d_ff, d, &mut s.q);
-            kernels::add_row(&mut s.q, w(layer.ff_b2));
-            kernels::add_assign(&mut s.x, &s.q);
-            kernels::layer_norm_rows(&mut s.x, w(layer.ln2_gain), w(layer.ln2_bias));
+            kernels::matmul(&a.x1, w(layer.ff_w1), n, d, d_ff, &mut a.ffn_in);
+            kernels::add_row(&mut a.ffn_in, w(layer.ff_b1));
+            kernels::gelu(&a.ffn_in, &mut a.ffn, &mut a.ffn_tanh);
+            kernels::matmul(&a.ffn, w(layer.ff_w2), n, d_ff, d, proj);
+            kernels::add_row(proj, w(layer.ff_b2));
+            if let Some((p, rng)) = &mut train {
+                kernels::dropout(*p, &mut **rng, &mut a.mask_ffn, proj);
+            }
+            a.res2.copy_from_slice(&a.x1);
+            kernels::add_assign(&mut a.res2, proj);
+            out.clear();
+            out.extend_from_slice(&a.res2);
+            kernels::layer_norm_rows(out, w(layer.ln2_gain), w(layer.ln2_bias));
+            if l + 1 < self.layers.len() {
+                std::mem::swap(out, &mut layers[if keep { l + 1 } else { 0 }].x);
+            }
         }
-        &s.x
+        out
+    }
+
+    /// Backpropagate `d_out`, the gradient of the output of the last
+    /// [`Tplm::encode_train`] on `scratch` (same `store` and `ids`), through
+    /// the trunk, adding every parameter's gradient into `sink`.
+    ///
+    /// Straight-line code over the saved activations that issues the tape's
+    /// backward kernel calls in its reverse-node order, so every gradient
+    /// is bitwise `Graph::backward`'s on `encode`'s tape: a value used twice
+    /// takes its first contribution as a copy and adds the later ones, a
+    /// layer input sums the residual's gradient first and then `v`'s, `k`'s
+    /// and `q`'s, each parameter's gradient is added into `sink` once, and
+    /// the embedding tables take one row per position, in position order.
+    pub fn backward(
+        &self,
+        store: &ParamStore,
+        ids: &[TokenId],
+        d_out: &[f32],
+        scratch: &mut EncodeScratch,
+        sink: &mut GradSink<'_>,
+    ) {
+        let (n, d, dh, d_ff) =
+            (ids.len(), self.config.d_model, self.config.d_head(), self.config.d_ff);
+        let heads = self.config.n_heads;
+        assert_eq!(d_out.len(), n * d, "backward: output gradient is not {n}x{d}");
+        let EncodeScratch { layers, dropped, grad: g, .. } = scratch;
+        assert!(layers.len() >= self.layers.len(), "backward needs a training forward first");
+        size([&mut g.res, &mut g.x1, &mut g.sub, &mut g.input], n * d);
+        size([&mut g.concat, &mut g.q, &mut g.k, &mut g.v], n * d);
+        size([&mut g.head, &mut g.qh, &mut g.kh, &mut g.vh], n * dh);
+        size([&mut g.attn, &mut g.scores], n * n);
+        size([&mut g.ffn], n * d_ff);
+        size([&mut g.w], d * d);
+        size([&mut g.w_ff], d * d_ff);
+        size([&mut g.row, &mut g.gain], d);
+        size([&mut g.row_ff], d_ff);
+        g.x.clear();
+        g.x.extend_from_slice(d_out);
+
+        let w = |id: ParamId| store.value(id).as_slice();
+        let scale = 1.0 / (dh as f32).sqrt();
+        for (layer, a) in self.layers.iter().zip(layers.iter()).rev() {
+            // ---- x = LayerNorm(x1 + Dropout(W2 · GELU(W1 · x1 + b1) + b2)) ----
+            let (res, gain, row) = (&mut g.res, &mut g.gain, &mut g.row);
+            kernels::layer_norm_backward(&a.res2, w(layer.ln2_gain), &g.x, res, gain, row);
+            sink.add(layer.ln2_bias, row);
+            sink.add(layer.ln2_gain, gain);
+            g.x1.copy_from_slice(res);
+            g.sub.copy_from_slice(res);
+            if *dropped {
+                kernels::mul_assign(&mut g.sub, &a.mask_ffn);
+            }
+            kernels::add_row_backward(&g.sub, row);
+            kernels::matmul_backward(
+                &a.ffn,
+                w(layer.ff_w2),
+                &g.sub,
+                n,
+                d_ff,
+                d,
+                &mut g.ffn,
+                &mut g.w_ff,
+            );
+            sink.add(layer.ff_b2, row);
+            sink.add(layer.ff_w2, &g.w_ff);
+            kernels::gelu_backward(&a.ffn_in, &a.ffn_tanh, &mut g.ffn);
+            kernels::add_row_backward(&g.ffn, &mut g.row_ff);
+            kernels::matmul_backward(
+                &a.x1,
+                w(layer.ff_w1),
+                &g.ffn,
+                n,
+                d,
+                d_ff,
+                &mut g.input,
+                &mut g.w_ff,
+            );
+            kernels::add_assign(&mut g.x1, &g.input);
+            sink.add(layer.ff_b1, &g.row_ff);
+            sink.add(layer.ff_w1, &g.w_ff);
+
+            // ---- x1 = LayerNorm(x + Dropout(Wo · heads + bo)) ----
+            let (res, gain, row) = (&mut g.res, &mut g.gain, &mut g.row);
+            kernels::layer_norm_backward(&a.res1, w(layer.ln1_gain), &g.x1, res, gain, row);
+            sink.add(layer.ln1_bias, row);
+            sink.add(layer.ln1_gain, gain);
+            g.x.copy_from_slice(res);
+            g.sub.copy_from_slice(res);
+            if *dropped {
+                kernels::mul_assign(&mut g.sub, &a.mask_attn);
+            }
+            kernels::add_row_backward(&g.sub, row);
+            kernels::matmul_backward(
+                &a.concat,
+                w(layer.wo),
+                &g.sub,
+                n,
+                d,
+                d,
+                &mut g.concat,
+                &mut g.w,
+            );
+            sink.add(layer.bo, row);
+            sink.add(layer.wo, &g.w);
+
+            // ---- heads, last first ----
+            for h in (0..heads).rev() {
+                let (blk, probs) = (h * n * dh..(h + 1) * n * dh, h * n * n..(h + 1) * n * n);
+                copy_cols(&g.concat, d, h * dh, &mut g.head, dh);
+                let (attn, vh) = (&a.attn[probs], &a.vh[blk.clone()]);
+                kernels::matmul_backward(attn, vh, &g.head, n, n, dh, &mut g.attn, &mut g.vh);
+                kernels::softmax_rows_backward(attn, &g.attn, n, &mut g.scores);
+                kernels::scale(&mut g.scores, scale);
+                let (qh, kh) = (&a.qh[blk.clone()], &a.kh[blk]);
+                kernels::matmul_t_backward(qh, kh, &g.scores, n, n, dh, &mut g.qh, &mut g.kh);
+                let first = h + 1 == heads;
+                acc_cols(&mut g.v, &g.vh, d, h * dh, first);
+                acc_cols(&mut g.k, &g.kh, d, h * dh, first);
+                acc_cols(&mut g.q, &g.qh, d, h * dh, first);
+            }
+            for (wt, dp) in [(layer.wv, &g.v), (layer.wk, &g.k), (layer.wq, &g.q)] {
+                kernels::matmul_backward(&a.x, w(wt), dp, n, d, d, &mut g.input, &mut g.w);
+                kernels::add_assign(&mut g.x, &g.input);
+                sink.add(wt, &g.w);
+            }
+        }
+        // ---- x = TokEmb[ids] + PosEmb[0..n] ----
+        for (p, row) in g.x.chunks_exact(d).enumerate() {
+            sink.add_row(self.pos_emb, p, row);
+        }
+        for (&id, row) in ids.iter().zip(g.x.chunks_exact(d)) {
+            sink.add_row(self.tok_emb, id as usize, row);
+        }
     }
 
     /// Inference-only single-mode embedding `E(x)` into `out` (`d` floats),
