@@ -67,7 +67,9 @@ pub struct EncodeScratch {
     /// One head's scores `[n, n]` and output `[n, d_head]`.
     scores: Vec<f32>,
     head: Vec<f32>,
-    /// Whether the last forward applied dropout masks.
+    /// Whether the last forward kept every layer's activations
+    /// ([`Tplm::encode_train`]), and whether it applied dropout masks.
+    kept: bool,
     dropped: bool,
     grad: TrunkGrads,
 }
@@ -384,7 +386,8 @@ impl Tplm {
             (ids.len(), self.config.d_model, self.config.d_head(), self.config.d_ff);
         let heads = self.config.n_heads;
         let keep = train.is_some();
-        let EncodeScratch { layers, out, proj, scores, head, dropped, .. } = scratch;
+        let EncodeScratch { layers, out, proj, scores, head, kept, dropped, .. } = scratch;
+        *kept = keep;
         *dropped = train.as_ref().is_some_and(|(p, _)| *p > 0.0);
         let slots = if keep { self.layers.len() } else { 1 };
         if layers.len() < slots {
@@ -482,8 +485,8 @@ impl Tplm {
             (ids.len(), self.config.d_model, self.config.d_head(), self.config.d_ff);
         let heads = self.config.n_heads;
         assert_eq!(d_out.len(), n * d, "backward: output gradient is not {n}x{d}");
-        let EncodeScratch { layers, dropped, grad: g, .. } = scratch;
-        assert!(layers.len() >= self.layers.len(), "backward needs a training forward first");
+        let EncodeScratch { layers, kept, dropped, grad: g, .. } = scratch;
+        assert!(*kept, "backward reads the activations of the last encode_train on this scratch");
         size([&mut g.res, &mut g.x1, &mut g.sub, &mut g.input], n * d);
         size([&mut g.concat, &mut g.q, &mut g.k, &mut g.v], n * d);
         size([&mut g.head, &mut g.qh, &mut g.kh, &mut g.vh], n * dh);
@@ -696,6 +699,20 @@ mod tests {
             .count();
         assert_eq!(touched, 1);
         assert!(store.grad(model.token_embedding_param()).sq_norm() > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "last encode_train")]
+    fn backward_after_an_inference_forward_panics() {
+        // The inference forward reuses the first layer's buffers, so the
+        // activations a backward would read are gone.
+        let (model, store) = tiny();
+        let (ids, mut scratch) = ([1, 3, 4, 2], EncodeScratch::default());
+        model.encode_train(&store, &ids, 0.0, &mut StdRng::seed_from_u64(0), &mut scratch);
+        model.encode_into(&store, &ids, &mut scratch);
+        let mut grads = store.new_grads();
+        let mut sink = store.grad_sink_into(&mut grads);
+        model.backward(&store, &ids, &[0.0; 4 * 16], &mut scratch, &mut sink);
     }
 
     #[test]
