@@ -23,7 +23,8 @@
 //!   implementation once per call from a capability level detected once
 //!   per process ([`simd_level`], shared with `dial-tensor` through the
 //!   `dial-simd` crate): explicit AVX2 intrinsics on x86-64
-//!   that advertises AVX2+FMA, NEON on aarch64, and the original
+//!   that advertises AVX2+FMA (AVX-512 hosts included: these kernels
+//!   have no 512-bit body), NEON on aarch64, and the original
 //!   autovectorized loops as the scalar fallback (and the parity
 //!   oracle — the `*_scalar` kernels are the pre-dispatch code,
 //!   verbatim). `DIAL_FORCE_SCALAR=1` (or [`set_force_scalar`]) pins
@@ -88,8 +89,8 @@ pub const QUERY_BLOCK: usize = 8;
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert!(a.len() == b.len(), "dot: slices of length {} and {}", a.len(), b.len());
     #[cfg(target_arch = "x86_64")]
-    if simd_level() == SimdLevel::Avx2 {
-        // SAFETY: `simd_level` reports Avx2 only when the CPU has it; the
+    if simd_level().has_avx2() {
+        // SAFETY: `has_avx2` holds only when the CPU has AVX2; the
         // vector loads read `a.len()` rounded down to 8 elements of each
         // slice, in bounds since the lengths were checked equal above.
         return unsafe { avx2::dot(a, b) };
@@ -172,8 +173,8 @@ pub fn sq_l2_batch(
     out: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if simd_level() == SimdLevel::Avx2 {
-        // SAFETY: `simd_level` reports Avx2 only when the CPU has it; the
+    if simd_level().has_avx2() {
+        // SAFETY: `has_avx2` holds only when the CPU has AVX2; the
         // tile cuts query and row slices to `dim` by checked indexing before
         // any load.
         return unsafe { avx2::sq_l2_batch(queries, q_sq, rows, r_sq, dim, out) };
@@ -225,8 +226,8 @@ pub fn cosine_batch(
     out: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if simd_level() == SimdLevel::Avx2 {
-        // SAFETY: `simd_level` reports Avx2 only when the CPU has it; the
+    if simd_level().has_avx2() {
+        // SAFETY: `has_avx2` holds only when the CPU has AVX2; the
         // tile cuts query and row slices to `dim` by checked indexing before
         // any load.
         return unsafe { avx2::cosine_batch(queries, q_n, rows, r_n, dim, out) };
@@ -301,7 +302,7 @@ pub fn distance_batch_rows(
         RowsView::F32(r) => distance_batch(metric, queries, q_norms, r, r_norms, dim, out),
         RowsView::F16(r) => {
             #[cfg(target_arch = "x86_64")]
-            if simd_level() == SimdLevel::Avx2 && dial_simd::has_f16c() {
+            if simd_level().has_avx2() && dial_simd::has_f16c() {
                 // SAFETY: AVX2 and F16C are both checked at runtime just
                 // above; the tile cuts query and row slices to `dim` by
                 // checked indexing before any load.
@@ -313,8 +314,8 @@ pub fn distance_batch_rows(
         }
         RowsView::Bf16(r) => {
             #[cfg(target_arch = "x86_64")]
-            if simd_level() == SimdLevel::Avx2 {
-                // SAFETY: `simd_level` reports Avx2 only when the CPU has it;
+            if simd_level().has_avx2() {
+                // SAFETY: `has_avx2` holds only when the CPU has AVX2;
                 // the tile cuts query and row slices to `dim` by checked
                 // indexing before any load.
                 return unsafe {
@@ -396,8 +397,8 @@ pub fn distance_gather(
 ) {
     assert!(query.len() == dim, "distance_gather: query of length {} for dim {dim}", query.len());
     #[cfg(target_arch = "x86_64")]
-    if simd_level() == SimdLevel::Avx2 {
-        // SAFETY: `simd_level` reports Avx2 only when the CPU has it; each
+    if simd_level().has_avx2() {
+        // SAFETY: `has_avx2` holds only when the CPU has AVX2; each
         // gathered row is cut to `dim` by checked indexing, and the loads
         // read `query.len()` of it — in bounds since `query.len() == dim`
         // was checked above.
@@ -462,8 +463,8 @@ pub fn distance_gather_scalar(
 #[inline]
 pub fn argmin(dists: &[f32]) -> usize {
     #[cfg(target_arch = "x86_64")]
-    if simd_level() == SimdLevel::Avx2 {
-        // SAFETY: `simd_level` reports Avx2 only when the CPU has it; the
+    if simd_level().has_avx2() {
+        // SAFETY: `has_avx2` holds only when the CPU has AVX2; the
         // loads stay below `dists.len()` rounded down to 8.
         return unsafe { avx2::argmin(dists) };
     }

@@ -1,14 +1,20 @@
-//! Autograd engine micro-benchmarks: the three products and the
-//! transcendental kernels that dominate matcher training and scoring
-//! (Table 9's mechanism), at the trunk's shapes, dispatched and
-//! forced-scalar in one process; the transcendentals also against the
-//! libm formulas they replaced.
+//! Autograd engine micro-benchmarks: the three products, the coverage
+//! block's all-pairs distances and the transcendental kernels that
+//! dominate matcher training and scoring (Table 9's mechanism), at the
+//! trunk's shapes, dispatched, capped at AVX2 and forced-scalar in one
+//! process; the transcendentals also against the libm formulas they
+//! replaced.
 //!
 //! Writes `REPRO_OUT/BENCH_tensor.json` (default `results/`) with the
 //! Gflop/s or ns per element of every row, the thread count and the SIMD
-//! level, and fails if the dispatched kernels are slower than the scalar
-//! loops. Both modes produce the same bits; the run checks that too.
+//! tier dispatch used (`simd`: `avx512`, `avx2`, `neon` or `scalar`), and
+//! fails if the dispatched kernels are slower than the scalar loops. On
+//! an AVX-512 host the AVX2 column is the 256-bit bodies on the same
+//! inputs — the before/after of that tier in one run; elsewhere it times
+//! what dispatch runs. Every mode produces the same bits; the run checks
+//! that too.
 use dial_bench::report::{json_f64, json_obj, json_str, print_table};
+use dial_simd::SimdLevel;
 use dial_tensor::{init, kernels, Graph, Matrix, ParamStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -54,6 +60,22 @@ fn cases(rng: &mut StdRng) -> Vec<(String, Product, Matrix, Matrix, f64)> {
     out.push((format!("matmul_t {N}x16 @ ({N}x16)^T"), Matrix::matmul_t, q, k.clone(), flops));
     out.push((format!("matmul {N}x{N} @ {N}x16"), Matrix::matmul, attn.clone(), k.clone(), flops));
     out.push((format!("t_matmul ({N}x{N})^T @ {N}x16"), Matrix::t_matmul, attn, k, flops));
+    // The matcher's coverage block, once per scored pair: about 20 × 20
+    // tokens, over 16-wide crisp rows and `d_model`-wide rows. A pair
+    // costs three flops per dimension (subtract, multiply, add).
+    for dim in [16, 64] {
+        let (r, s) = (init::normal(20, dim, 1.0, rng), init::normal(20, dim, 1.0, rng));
+        let flops = (3 * 20 * 20 * dim) as f64;
+        out.push((format!("cross_sq_dists 20x{dim} vs 20x{dim}"), cross_sq_dists, r, s, flops));
+    }
+    out
+}
+
+/// `out[i][j] = ‖a_i − b_j‖²` through the dispatched kernel.
+fn cross_sq_dists(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.rows());
+    let (na, nb, dim) = (a.rows(), b.rows(), a.cols());
+    kernels::cross_sq_dists_into(a.as_slice(), b.as_slice(), na, nb, dim, out.as_mut_slice());
     out
 }
 
@@ -129,13 +151,23 @@ fn time_call(f: &mut dyn FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// `f` with dispatch capped at `level`, restoring the ambient cap.
+fn capped<T>(level: SimdLevel, f: impl FnOnce() -> T) -> T {
+    let was = dial_simd::max_level();
+    dial_simd::set_max_level(level);
+    let out = f();
+    dial_simd::set_max_level(was);
+    out
+}
+
 /// `f` under forced-scalar dispatch, restoring the ambient setting.
 fn forced_scalar<T>(f: impl FnOnce() -> T) -> T {
-    let was = dial_ann::force_scalar();
-    dial_ann::set_force_scalar(true);
-    let out = f();
-    dial_ann::set_force_scalar(was);
-    out
+    capped(SimdLevel::Scalar, f)
+}
+
+/// `f` on the AVX2 bodies where dispatch would pick wider ones.
+fn at_avx2<T>(f: impl FnOnce() -> T) -> T {
+    capped(SimdLevel::Avx2, f)
 }
 
 fn attention_fwd_bwd(store: &mut ParamStore, ids: [dial_tensor::ParamId; 3], x: &Matrix) {
@@ -155,7 +187,7 @@ fn attention_fwd_bwd(store: &mut ParamStore, ids: [dial_tensor::ParamId; 3], x: 
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(0);
-    let simd = dial_ann::simd_label();
+    let simd = dial_simd::simd_label();
     let threads = rayon::current_num_threads();
 
     let mut rows = Vec::new();
@@ -163,33 +195,39 @@ fn main() {
     let (mut flops_sum, mut simd_s, mut scalar_s) = (0.0, 0.0, 0.0);
     for (name, op, a, b, flops) in cases(&mut rng) {
         let fast = op(&a, &b);
-        let slow = forced_scalar(|| op(&a, &b));
-        assert!(
-            fast.as_slice().iter().zip(slow.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()),
-            "{name}: dispatched and forced-scalar results differ"
-        );
-        let t_simd = time_call(&mut || {
-            black_box(op(black_box(&a), black_box(&b)));
-        });
-        let t_scalar = forced_scalar(|| {
+        for (mode, other) in
+            [("AVX2", at_avx2(|| op(&a, &b))), ("forced-scalar", forced_scalar(|| op(&a, &b)))]
+        {
+            assert!(
+                fast.as_slice()
+                    .iter()
+                    .zip(other.as_slice())
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{name}: dispatched and {mode} results differ"
+            );
+        }
+        let run = || {
             time_call(&mut || {
                 black_box(op(black_box(&a), black_box(&b)));
             })
-        });
+        };
+        let (t_simd, t_avx2, t_scalar) = (run(), at_avx2(run), forced_scalar(run));
         flops_sum += flops;
         simd_s += t_simd;
         scalar_s += t_scalar;
-        let (gf, gf_scalar) = (flops / t_simd / 1e9, flops / t_scalar / 1e9);
+        let gf = |t: f64| flops / t / 1e9;
         cells.push(vec![
             name.clone(),
-            format!("{gf:.1}"),
-            format!("{gf_scalar:.1}"),
+            format!("{:.1}", gf(t_simd)),
+            format!("{:.1}", gf(t_avx2)),
+            format!("{:.1}", gf(t_scalar)),
             format!("{:.2}", t_scalar / t_simd),
         ]);
         rows.push(json_obj(&[
             ("op", json_str(&name)),
-            ("gflops", json_f64(gf)),
-            ("gflops_scalar", json_f64(gf_scalar)),
+            ("gflops", json_f64(gf(t_simd))),
+            ("gflops_avx2", json_f64(gf(t_avx2))),
+            ("gflops_scalar", json_f64(gf(t_scalar))),
             ("speedup_vs_scalar", json_f64(t_scalar / t_simd)),
         ]));
     }
@@ -205,20 +243,25 @@ fn main() {
             time_call(&mut || f(black_box(&x), black_box(&mut out), black_box(&mut saved)))
         };
         let (t_simd, t_libm) = (run(kernel), run(libm));
+        let t_avx2 = at_avx2(|| run(kernel));
         let t_scalar = forced_scalar(|| run(kernel));
-        let (mut fast, mut slow) = (out.clone(), out.clone());
+        let (mut fast, mut avx2, mut slow) = (out.clone(), out.clone(), out.clone());
         kernel(&x, &mut fast, &mut saved);
+        at_avx2(|| kernel(&x, &mut avx2, &mut saved));
         forced_scalar(|| kernel(&x, &mut slow, &mut saved));
-        assert!(
-            fast.iter().zip(&slow).all(|(a, b)| a.to_bits() == b.to_bits()),
-            "{name}: dispatched and forced-scalar results differ"
-        );
+        for (mode, other) in [("AVX2", &avx2), ("forced-scalar", &slow)] {
+            assert!(
+                fast.iter().zip(other).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{name}: dispatched and {mode} results differ"
+            );
+        }
         trans_simd_s += t_simd;
         trans_scalar_s += t_scalar;
         let ns = |t: f64| t * 1e9 / x.len() as f64;
         trans_cells.push(vec![
             format!("{name} {r}x{c}"),
             format!("{:.2}", ns(t_simd)),
+            format!("{:.2}", ns(t_avx2)),
             format!("{:.2}", ns(t_scalar)),
             format!("{:.2}", ns(t_libm)),
             format!("{:.2}", t_libm / t_simd),
@@ -226,6 +269,7 @@ fn main() {
         trans_rows.push(json_obj(&[
             ("op", json_str(&format!("{name} {r}x{c}"))),
             ("ns_per_element", json_f64(ns(t_simd))),
+            ("ns_per_element_avx2", json_f64(ns(t_avx2))),
             ("ns_per_element_scalar", json_f64(ns(t_scalar))),
             ("ns_per_element_libm", json_f64(ns(t_libm))),
             ("speedup_vs_libm", json_f64(t_libm / t_simd)),
@@ -243,12 +287,12 @@ fn main() {
 
     print_table(
         &format!("Tensor products at the trunk's shapes ({simd}, {threads} threads)"),
-        &["Product", "Gflop/s", "Gflop/s scalar", "Speedup"],
+        &["Product", "Gflop/s", "Gflop/s AVX2", "Gflop/s scalar", "Speedup"],
         &cells,
     );
     print_table(
         "Transcendental kernels, ns per element",
-        &["Kernel", "Dispatched", "Forced scalar", "libm", "vs libm"],
+        &["Kernel", "Dispatched", "AVX2", "Forced scalar", "libm", "vs libm"],
         &trans_cells,
     );
     let (gflops, gflops_scalar) = (flops_sum / simd_s / 1e9, flops_sum / scalar_s / 1e9);

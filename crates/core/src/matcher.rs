@@ -79,6 +79,26 @@ struct HeadActs {
     /// Dropout masks on `feat` and `hidden`.
     feat_mask: Vec<f32>,
     hidden_mask: Vec<f32>,
+    /// The coverage block's buffers (read by no backward).
+    cov: CoverageScratch,
+}
+
+/// Buffers of [`coverage_block`], reused across pairs so a pair's block
+/// allocates nothing once they have grown.
+#[derive(Debug, Default)]
+struct CoverageScratch {
+    /// Each side's crisp rows, then its token-table rows, packed.
+    crisp_r: Vec<f32>,
+    crisp_s: Vec<f32>,
+    tok_r: Vec<f32>,
+    tok_s: Vec<f32>,
+    /// One `[|r|, |s|]` squared-distance matrix, row-major.
+    dists: Vec<f32>,
+    /// One line's negated scaled distances.
+    zs: Vec<f32>,
+    /// Each side's ids, sorted and deduplicated.
+    set_r: Vec<TokenId>,
+    set_s: Vec<TokenId>,
 }
 
 /// Gradient buffers of the head's backward, named after the value whose
@@ -186,6 +206,7 @@ impl Matcher {
             store.value(model.token_embedding_param()),
             (&ids[span_r.clone()], &ctx_rows[span_r.start * d..span_r.end * d]),
             (&ids[span_s.clone()], &ctx_rows[span_s.start * d..span_s.end * d]),
+            &mut CoverageScratch::default(),
         );
         let cov = g.input(Matrix::row_vector(cov_vals.to_vec()));
         let feat = g.concat_cols(&[cls, mean_r, mean_s, diff]);
@@ -340,6 +361,7 @@ impl Matcher {
             store.value(model.token_embedding_param()),
             (&ids[span_r], ctx_r),
             (&ids[span_s], ctx_s),
+            &mut a.cov,
         ));
         let mut logit = [0.0];
         kernels::matmul(&a.full, w(self.w2), 1, d + 8, 1, &mut logit);
@@ -623,43 +645,48 @@ fn coverage_block(
     tok_table: &Matrix,
     r: (&[TokenId], &[f32]),
     s: (&[TokenId], &[f32]),
+    scratch: &mut CoverageScratch,
 ) -> [f32; 8] {
     let d = tok_table.cols();
     let ((ids_r, ctx_r), (ids_s, ctx_s)) = (r, s);
+    let CoverageScratch { crisp_r, crisp_s, tok_r, tok_s, dists, zs, set_r, set_s } = scratch;
     // Crisp identity embeddings: fixed hash-random vectors per token id.
     // Coverage over these is a smooth token-Jaccard, unaffected by how
     // much pre-training contracts the semantic space.
-    let (crisp_r, crisp_s) =
-        (pack_rows(ids_r, CRISP_DIM, crisp_row), pack_rows(ids_s, CRISP_DIM, crisp_row));
+    pack_rows(ids_r, CRISP_DIM, crisp_row, crisp_r);
+    pack_rows(ids_s, CRISP_DIM, crisp_row, crisp_s);
     let tok_row = |t: TokenId, row: &mut [f32]| row.copy_from_slice(tok_table.row(t as usize));
-    let (tok_r, tok_s) = (pack_rows(ids_r, d, tok_row), pack_rows(ids_s, d, tok_row));
+    pack_rows(ids_r, d, tok_row, tok_r);
+    pack_rows(ids_s, d, tok_row, tok_s);
     let mut cov = [0.0; 8];
     for (slot, (a, b, dim)) in
         [(&crisp_r[..], &crisp_s[..], CRISP_DIM), (ctx_r, ctx_s, d), (&tok_r[..], &tok_s[..], d)]
             .into_iter()
             .enumerate()
     {
+        let (na, nb) = (a.len() / dim, b.len() / dim);
+        dists.resize(na * nb, 0.0);
+        kernels::cross_sq_dists_into(a, b, na, nb, dim, dists);
         // One distance matrix serves both directions: `(x − y)²` and
-        // `(y − x)²` are the same bits, so the transpose is exactly
-        // what scoring `b` against `a` pair by pair would give.
-        let dists = pair_sq_dists(a, b, dim);
+        // `(y − x)²` are the same bits, so its columns are exactly what
+        // scoring `b` against `a` pair by pair would give.
         let tau = dim as f32 / 8.0;
-        cov[2 * slot] = 0.25 * coverage(&dists, tau);
-        cov[2 * slot + 1] = 0.25 * coverage(&dists.transpose(), tau);
+        cov[2 * slot] = 0.25 * coverage(dists, (na, nb), (nb, 1), tau, zs);
+        cov[2 * slot + 1] = 0.25 * coverage(dists, (nb, 1), (na, nb), tau, zs);
     }
     // Plus a hard token-Jaccard scalar for good measure; `cov[7]` is
     // reserved.
-    cov[6] = hard_jaccard(ids_r, ids_s);
+    cov[6] = hard_jaccard(ids_r, ids_s, set_r, set_s);
     cov
 }
 
-/// One `dim`-wide row per token, packed row-major; `fill` writes a row.
-fn pack_rows(ids: &[TokenId], dim: usize, fill: impl Fn(TokenId, &mut [f32])) -> Vec<f32> {
-    let mut rows = vec![0.0; ids.len() * dim];
+/// One `dim`-wide row per token, packed row-major into `rows`; `fill`
+/// writes a row.
+fn pack_rows(ids: &[TokenId], dim: usize, fill: impl Fn(TokenId, &mut [f32]), rows: &mut Vec<f32>) {
+    rows.resize(ids.len() * dim, 0.0);
     for (&t, row) in ids.iter().zip(rows.chunks_exact_mut(dim)) {
         fill(t, row);
     }
-    rows
 }
 
 /// Deterministic pseudo-random unit-scale vector for a token id
@@ -676,41 +703,58 @@ fn crisp_row(token: TokenId, row: &mut [f32]) {
     }
 }
 
-/// Exact token-multiset Jaccard between two id slices.
-fn hard_jaccard(a: &[TokenId], b: &[TokenId]) -> f32 {
-    use std::collections::HashSet;
-    let sa: HashSet<TokenId> = a.iter().copied().collect();
-    let sb: HashSet<TokenId> = b.iter().copied().collect();
-    if sa.is_empty() && sb.is_empty() {
+/// Exact token-set Jaccard between two id slices, counted on sorted,
+/// deduplicated copies in `set_a` and `set_b`.
+fn hard_jaccard(
+    a: &[TokenId],
+    b: &[TokenId],
+    set_a: &mut Vec<TokenId>,
+    set_b: &mut Vec<TokenId>,
+) -> f32 {
+    for (set, ids) in [(&mut *set_a, a), (&mut *set_b, b)] {
+        set.clear();
+        set.extend_from_slice(ids);
+        set.sort_unstable();
+        set.dedup();
+    }
+    if set_a.is_empty() && set_b.is_empty() {
         return 0.0;
     }
-    sa.intersection(&sb).count() as f32 / sa.union(&sb).count() as f32
+    let (mut i, mut j, mut common) = (0, 0, 0);
+    while i < set_a.len() && j < set_b.len() {
+        match set_a[i].cmp(&set_b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => (i, j, common) = (i + 1, j + 1, common + 1),
+        }
+    }
+    common as f32 / (set_a.len() + set_b.len() - common) as f32
 }
 
-/// `[|a|, |b|]` squared distances between two packed sets of `dim`-wide
-/// rows.
-fn pair_sq_dists(a: &[f32], b: &[f32], dim: usize) -> Matrix {
-    let (na, nb) = (a.len() / dim, b.len() / dim);
-    let mut out = Matrix::zeros(na, nb);
-    kernels::cross_sq_dists_into(a, b, na, nb, dim, out.as_mut_slice());
-    out
-}
-
-/// Mean over the rows of `dists` of the soft-min (−τ·LSE) alignment score
-/// of that row's token against the other side.
-fn coverage(dists: &Matrix, tau: f32) -> f32 {
+/// Mean over `lines` lines of `dists` of the soft-min (−τ·LSE) alignment
+/// score of that line's token against the other side. Line `l` is the
+/// `len` values at `l·line_step + t·step`: `(rows, cols), (cols, 1)`
+/// reads a row-major matrix by rows, `(cols, 1), (rows, cols)` by
+/// columns. `zs` holds one line.
+fn coverage(
+    dists: &[f32],
+    (lines, line_step): (usize, usize),
+    (len, step): (usize, usize),
+    tau: f32,
+    zs: &mut Vec<f32>,
+) -> f32 {
     if dists.is_empty() {
         return 0.0;
     }
     let mut total = 0.0;
-    let mut zs = vec![0.0; dists.cols()];
-    for r in 0..dists.rows() {
-        for (z, d) in zs.iter_mut().zip(dists.row(r)) {
-            *z = -d / tau;
+    zs.resize(len, 0.0);
+    for l in 0..lines {
+        for (t, z) in zs.iter_mut().enumerate() {
+            *z = -dists[l * line_step + t * step] / tau;
         }
-        total += dial_tensor::logsumexp(&zs);
+        total += dial_tensor::logsumexp(zs);
     }
-    total / dists.rows() as f32
+    total / lines as f32
 }
 
 fn hash3(a: usize, b: usize, c: usize) -> u64 {
@@ -814,6 +858,91 @@ mod tests {
         assert_eq!(store.value(model.token_embedding_param()), &before);
         // And the trunk is unfrozen again afterwards.
         assert!(!store.is_frozen(model.token_embedding_param()));
+    }
+
+    /// The coverage block as it was before its buffers moved into
+    /// [`CoverageScratch`]: fresh packed rows, a distance `Matrix` and its
+    /// transpose per slot, and two `HashSet`s, on every call.
+    fn coverage_block_reference(
+        tok_table: &Matrix,
+        (ids_r, ctx_r): (&[TokenId], &[f32]),
+        (ids_s, ctx_s): (&[TokenId], &[f32]),
+    ) -> [f32; 8] {
+        use std::collections::HashSet;
+        fn pack(ids: &[TokenId], dim: usize, fill: impl Fn(TokenId, &mut [f32])) -> Vec<f32> {
+            let mut rows = vec![0.0; ids.len() * dim];
+            for (&t, row) in ids.iter().zip(rows.chunks_exact_mut(dim)) {
+                fill(t, row);
+            }
+            rows
+        }
+        fn cover(dists: &Matrix, tau: f32) -> f32 {
+            if dists.is_empty() {
+                return 0.0;
+            }
+            let mut total = 0.0;
+            let mut zs = vec![0.0; dists.cols()];
+            for r in 0..dists.rows() {
+                for (z, d) in zs.iter_mut().zip(dists.row(r)) {
+                    *z = -d / tau;
+                }
+                total += dial_tensor::logsumexp(&zs);
+            }
+            total / dists.rows() as f32
+        }
+        let d = tok_table.cols();
+        let (crisp_r, crisp_s) =
+            (pack(ids_r, CRISP_DIM, crisp_row), pack(ids_s, CRISP_DIM, crisp_row));
+        let tok_row = |t: TokenId, row: &mut [f32]| row.copy_from_slice(tok_table.row(t as usize));
+        let (tok_r, tok_s) = (pack(ids_r, d, tok_row), pack(ids_s, d, tok_row));
+        let mut cov = [0.0; 8];
+        for (slot, (a, b, dim)) in [
+            (&crisp_r[..], &crisp_s[..], CRISP_DIM),
+            (ctx_r, ctx_s, d),
+            (&tok_r[..], &tok_s[..], d),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let (na, nb) = (a.len() / dim, b.len() / dim);
+            let mut dists = Matrix::zeros(na, nb);
+            kernels::cross_sq_dists_into(a, b, na, nb, dim, dists.as_mut_slice());
+            let tau = dim as f32 / 8.0;
+            cov[2 * slot] = 0.25 * cover(&dists, tau);
+            cov[2 * slot + 1] = 0.25 * cover(&dists.transpose(), tau);
+        }
+        let sa: HashSet<TokenId> = ids_r.iter().copied().collect();
+        let sb: HashSet<TokenId> = ids_s.iter().copied().collect();
+        cov[6] = if sa.is_empty() && sb.is_empty() {
+            0.0
+        } else {
+            sa.intersection(&sb).count() as f32 / sa.union(&sb).count() as f32
+        };
+        cov
+    }
+
+    #[test]
+    fn coverage_block_is_bitwise_the_allocating_reference() {
+        use rand::Rng;
+        let (d, vocab) = (16, 12);
+        let mut rng = StdRng::seed_from_u64(7);
+        let table = init::normal(vocab, d, 1.0, &mut rng);
+        // One scratch across every pair, so grown and shrunk buffers are
+        // exercised too.
+        let mut scratch = CoverageScratch::default();
+        // Empty, one-token and longer segments; ids drawn from a small
+        // vocabulary so tokens repeat within and across the sides.
+        let lens = [(0, 0), (0, 3), (1, 0), (1, 1), (1, 7), (5, 1), (3, 19), (21, 17), (33, 2)];
+        for (case, &(nr, ns)) in lens.iter().cycle().take(4 * lens.len()).enumerate() {
+            let ids_r: Vec<TokenId> = (0..nr).map(|_| rng.gen_range(0..vocab as TokenId)).collect();
+            let ids_s: Vec<TokenId> = (0..ns).map(|_| rng.gen_range(0..vocab as TokenId)).collect();
+            let ctx_r = init::normal(nr, d, 1.0, &mut rng).into_vec();
+            let ctx_s = init::normal(ns, d, 1.0, &mut rng).into_vec();
+            let (r, s) = ((&ids_r[..], &ctx_r[..]), (&ids_s[..], &ctx_s[..]));
+            let got = coverage_block(&table, r, s, &mut scratch);
+            let want = coverage_block_reference(&table, r, s);
+            assert_eq!(got.map(f32::to_bits), want.map(f32::to_bits), "case {case}: {nr} x {ns}");
+        }
     }
 
     #[test]

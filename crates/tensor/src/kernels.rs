@@ -2,8 +2,8 @@
 //!
 //! Three products carry a transformer forward/backward and all three live
 //! here, each as a scalar loop (the pre-dispatch code, verbatim — fallback
-//! and parity oracle) and an explicit AVX2 implementation picked at
-//! runtime from [`dial_simd::simd_level`]:
+//! and parity oracle), an explicit AVX2 body and an AVX-512 body, picked
+//! at runtime from [`dial_simd::simd_level`]:
 //!
 //! * [`matmul`] — `out = a · b` (forward),
 //! * [`t_matmul`] — `out = aᵀ · b` (`dB = Aᵀ·g`),
@@ -33,15 +33,20 @@
 //!
 //! # Determinism contract
 //!
-//! The AVX2 paths are **bitwise equal** to the scalar loops, not merely
-//! close, so the active-learning trajectory (labels, candidates,
-//! recall/F1 bits) is the same under every dispatch level and
+//! The AVX2 and AVX-512 bodies are **bitwise equal** to the scalar loops,
+//! not merely close, so the active-learning trajectory (labels,
+//! candidates, recall/F1 bits) is the same under every dispatch level and
 //! `DIAL_FORCE_SCALAR=1` changes speed only. Two rules give that:
 //!
 //! * **Separate multiply and add, never FMA.** The scalar loops round the
 //!   product and the sum separately; a fused multiply-add rounds once.
-//!   The kernels are compiled with `avx2` only (no `fma` target feature),
-//!   so contraction cannot happen even by accident.
+//!   The AVX2 bodies are compiled with `avx2` only, but `avx512f` implies
+//!   `fma` to the code generator, so the feature set alone no longer
+//!   rules contraction out. What does: rustc never marks an `fmul` or
+//!   `fadd` as contractable, so LLVM may not fuse them; the bodies issue
+//!   only explicit `mul` / `add` / `sub` intrinsics (never an `fmadd`);
+//!   and the parity tests (here and in `tests/proptests.rs`) run every
+//!   level the host has against the scalar oracle, bit for bit.
 //! * **The scalar loop's reduction order per output element.** `matmul`
 //!   and `t_matmul` sum over the shared index in increasing order into one
 //!   accumulator per output element — vectorised *across* output columns,
@@ -72,9 +77,25 @@
 //!   lanes, so a register holds two output columns; a 2-row × 8-column
 //!   tile is 8 accumulators, reduced by an in-lane 4×4 transpose so the
 //!   eight results of a row land contiguous.
-//! * `cross_sq_dists_into`: `b` is transposed once into a scratch buffer
-//!   so eight pairs `(i, j..j+8)` advance together, each lane running
-//!   [`sq_dist`]'s serial `s += d·d` chain.
+//! * `cross_sq_dists_into`: `b` is transposed once per call into a
+//!   per-thread buffer so eight pairs `(i, j..j+8)` advance together, each
+//!   lane running [`sq_dist`]'s serial `s += d·d` chain.
+//!
+//! # Tile shapes (AVX-512)
+//!
+//! * `matmul` / `t_matmul`: a 4-row × 64-column tile in 16 `zmm`
+//!   accumulators, each step four loads of `b`, four broadcasts of `a`,
+//!   sixteen multiplies and sixteen adds. A column remainder runs one
+//!   tile of 1–4 registers whose last register loads and stores through a
+//!   lane mask, so no element falls back to a scalar chain.
+//! * `matmul_t`: one 128-bit lane of a `zmm` is one dot product's four
+//!   lanes, so a register holds four output columns. `b` is packed once
+//!   per call (into the per-thread buffer) so each (16-column group,
+//!   4-chunk) is four contiguous registers, and `a`'s four floats are one
+//!   `broadcast_f32x4`; a 4-row × 16-column tile is 16 accumulators,
+//!   reduced by the same in-lane 4×4 transpose.
+//! * `cross_sq_dists_into`: the AVX2 transpose, sixteen pairs per
+//!   register, the last register of a row stored through a lane mask.
 
 mod backward;
 mod rows;
@@ -101,10 +122,14 @@ pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32
     assert_eq!(a.len(), m * k, "matmul: left factor is not {m}x{k}");
     assert_eq!(b.len(), k * n, "matmul: right factor is not {k}x{n}");
     assert_eq!(out.len(), m * n, "matmul: output is not {m}x{n}");
+    // SAFETY: `simd_level` reports a level only when the CPU has it.
     #[cfg(target_arch = "x86_64")]
-    if simd_level() == SimdLevel::Avx2 {
-        // SAFETY: `simd_level` reports Avx2 only when the CPU has it.
-        return unsafe { avx2::gemm(a, k, 1, b, m, k, n, out) };
+    unsafe {
+        match simd_level() {
+            SimdLevel::Avx512 => return avx512::gemm(a, k, 1, b, m, k, n, out),
+            SimdLevel::Avx2 => return avx2::gemm(a, k, 1, b, m, k, n, out),
+            _ => {}
+        }
     }
     matmul_scalar(a, b, m, k, n, out)
 }
@@ -137,10 +162,14 @@ pub fn t_matmul(a: &[f32], b: &[f32], rows: usize, m: usize, n: usize, out: &mut
     assert_eq!(a.len(), rows * m, "t_matmul: left factor is not {rows}x{m}");
     assert_eq!(b.len(), rows * n, "t_matmul: right factor is not {rows}x{n}");
     assert_eq!(out.len(), m * n, "t_matmul: output is not {m}x{n}");
+    // SAFETY: `simd_level` reports a level only when the CPU has it.
     #[cfg(target_arch = "x86_64")]
-    if simd_level() == SimdLevel::Avx2 {
-        // SAFETY: `simd_level` reports Avx2 only when the CPU has it.
-        return unsafe { avx2::gemm(a, 1, m, b, m, rows, n, out) };
+    unsafe {
+        match simd_level() {
+            SimdLevel::Avx512 => return avx512::gemm(a, 1, m, b, m, rows, n, out),
+            SimdLevel::Avx2 => return avx2::gemm(a, 1, m, b, m, rows, n, out),
+            _ => {}
+        }
     }
     t_matmul_scalar(a, b, rows, m, n, out)
 }
@@ -172,10 +201,14 @@ pub fn matmul_t(a: &[f32], b: &[f32], m: usize, n: usize, k: usize, out: &mut [f
     assert_eq!(a.len(), m * k, "matmul_t: left factor is not {m}x{k}");
     assert_eq!(b.len(), n * k, "matmul_t: right factor is not {n}x{k}");
     assert_eq!(out.len(), m * n, "matmul_t: output is not {m}x{n}");
+    // SAFETY: `simd_level` reports a level only when the CPU has it.
     #[cfg(target_arch = "x86_64")]
-    if simd_level() == SimdLevel::Avx2 {
-        // SAFETY: `simd_level` reports Avx2 only when the CPU has it.
-        return unsafe { avx2::matmul_t(a, b, m, n, k, out) };
+    unsafe {
+        match simd_level() {
+            SimdLevel::Avx512 => return avx512::matmul_t(a, b, m, n, k, out),
+            SimdLevel::Avx2 => return avx2::matmul_t(a, b, m, n, k, out),
+            _ => {}
+        }
     }
     matmul_t_scalar(a, b, m, n, k, out)
 }
@@ -207,10 +240,14 @@ pub fn cross_sq_dists_into(
     assert_eq!(a.len(), na * dim, "cross_sq_dists: left rows are not {na}x{dim}");
     assert_eq!(b.len(), nb * dim, "cross_sq_dists: right rows are not {nb}x{dim}");
     assert_eq!(out.len(), na * nb, "cross_sq_dists: output is not {na}x{nb}");
+    // SAFETY: `simd_level` reports a level only when the CPU has it.
     #[cfg(target_arch = "x86_64")]
-    if simd_level() == SimdLevel::Avx2 {
-        // SAFETY: `simd_level` reports Avx2 only when the CPU has it.
-        return unsafe { avx2::cross_sq_dists(a, b, na, nb, dim, out) };
+    unsafe {
+        match simd_level() {
+            SimdLevel::Avx512 => return avx512::cross_sq_dists(a, b, na, nb, dim, out),
+            SimdLevel::Avx2 => return avx2::cross_sq_dists(a, b, na, nb, dim, out),
+            _ => {}
+        }
     }
     cross_sq_dists_scalar(a, b, na, nb, dim, out)
 }
@@ -237,7 +274,49 @@ pub fn cross_sq_dists_scalar(
 }
 
 #[cfg(target_arch = "x86_64")]
+thread_local! {
+    /// This thread's packing buffer: `cross_sq_dists`' transposed `b` and
+    /// the AVX-512 `matmul_t`'s packed `b`, grown once and reused by every
+    /// later call.
+    static PACK: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// `f` on `len` zeroed floats of this thread's [`PACK`] buffer. Not
+/// reentrant: no body calls another inside `f`.
+#[cfg(target_arch = "x86_64")]
+fn with_pack<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    PACK.with_borrow_mut(|buf| {
+        buf.clear();
+        buf.resize(len, 0.0);
+        f(buf)
+    })
+}
+
+/// `f` on `bt[k·nbp + j] = b[j·dim + k]` for the `nb` rows of `b`, columns
+/// zero-padded to `nbp` so the last tile loads whole registers; the padded
+/// lanes are computed and dropped.
+#[cfg(target_arch = "x86_64")]
+fn with_transposed<R>(
+    b: &[f32],
+    nb: usize,
+    nbp: usize,
+    dim: usize,
+    f: impl FnOnce(&[f32]) -> R,
+) -> R {
+    debug_assert!(b.len() == nb * dim && nb <= nbp);
+    with_pack(dim * nbp, |bt| {
+        for (j, row) in b.chunks_exact(dim.max(1)).enumerate() {
+            for (k, &v) in row.iter().enumerate() {
+                bt[k * nbp + j] = v;
+            }
+        }
+        f(bt)
+    })
+}
+
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
+    use super::with_transposed;
     use std::arch::x86_64::*;
 
     /// Rows per `gemm` accumulator tile.
@@ -478,28 +557,21 @@ mod avx2 {
         assert_eq!(a.len(), na * dim);
         assert_eq!(b.len(), nb * dim);
         assert_eq!(out.len(), na * nb);
-        // `bt[k·nbp + j] = b[j·dim + k]`, columns zero-padded to a multiple
-        // of eight so the last tile loads whole registers; the padded
-        // lanes are computed and dropped.
         let nbp = nb.next_multiple_of(8);
-        let mut bt = vec![0.0f32; dim * nbp];
-        for (j, row) in b.chunks_exact(dim.max(1)).enumerate() {
-            for (k, &v) in row.iter().enumerate() {
-                bt[k * nbp + j] = v;
-            }
-        }
-        let mut i0 = 0;
-        while i0 < na {
-            for j0 in (0..nbp).step_by(8) {
-                match na - i0 {
-                    1 => tile_d::<1>(a, &bt, i0, j0, nb, nbp, dim, out),
-                    2 => tile_d::<2>(a, &bt, i0, j0, nb, nbp, dim, out),
-                    3 => tile_d::<3>(a, &bt, i0, j0, nb, nbp, dim, out),
-                    _ => tile_d::<4>(a, &bt, i0, j0, nb, nbp, dim, out),
+        with_transposed(b, nb, nbp, dim, |bt| {
+            let mut i0 = 0;
+            while i0 < na {
+                for j0 in (0..nbp).step_by(8) {
+                    match na - i0 {
+                        1 => tile_d::<1>(a, bt, i0, j0, nb, nbp, dim, out),
+                        2 => tile_d::<2>(a, bt, i0, j0, nb, nbp, dim, out),
+                        3 => tile_d::<3>(a, bt, i0, j0, nb, nbp, dim, out),
+                        _ => tile_d::<4>(a, bt, i0, j0, nb, nbp, dim, out),
+                    }
                 }
+                i0 += 4;
             }
-            i0 += 4;
-        }
+        })
     }
 
     /// Rows `i0..i0 + R` of `a` against columns `j0..j0 + 8` of the
@@ -550,6 +622,340 @@ mod avx2 {
     }
 }
 
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{with_pack, with_transposed};
+    use std::arch::x86_64::*;
+
+    /// Rows per accumulator tile, in every kernel here.
+    const MR: usize = 4;
+    /// `zmm` registers per row of the widest `gemm` tile: 64 columns.
+    const NV: usize = 4;
+
+    /// Mask of a register's low `cols` lanes, `cols` in `1..=16`.
+    #[inline]
+    pub(super) fn lanes_mask(cols: usize) -> __mmask16 {
+        debug_assert!((1..=16).contains(&cols));
+        (u32::MAX >> (32 - cols)) as __mmask16
+    }
+
+    /// [`super::avx2::gemm`]'s sum, sixteen output columns per register:
+    /// one accumulator per output element, summed over `p` in increasing
+    /// order.
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn gemm(
+        a: &[f32],
+        a_rs: usize,
+        a_ps: usize,
+        b: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        out: &mut [f32],
+    ) {
+        // The tiles index through raw pointers; these three facts bound
+        // every access they make (see the SAFETY comments in `tile`).
+        assert!(m == 0 || k == 0 || (m - 1) * a_rs + (k - 1) * a_ps < a.len());
+        assert_eq!(b.len(), k * n);
+        assert_eq!(out.len(), m * n);
+        let mut i0 = 0;
+        while i0 < m {
+            match m - i0 {
+                1 => row_block::<1>(a, a_rs, a_ps, b, i0, k, n, out),
+                2 => row_block::<2>(a, a_rs, a_ps, b, i0, k, n, out),
+                3 => row_block::<3>(a, a_rs, a_ps, b, i0, k, n, out),
+                _ => row_block::<MR>(a, a_rs, a_ps, b, i0, k, n, out),
+            }
+            i0 += MR;
+        }
+    }
+
+    /// Output rows `i0..i0 + R`, all columns: 64-wide tiles, then one tile
+    /// of 1–4 registers whose last register is masked to the remainder.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    fn row_block<const R: usize>(
+        a: &[f32],
+        a_rs: usize,
+        a_ps: usize,
+        b: &[f32],
+        i0: usize,
+        k: usize,
+        n: usize,
+        out: &mut [f32],
+    ) {
+        let mut j0 = 0;
+        while j0 + 16 * NV <= n {
+            tile::<R, NV>(a, a_rs, a_ps, b, i0, j0, !0, k, n, out);
+            j0 += 16 * NV;
+        }
+        let rest = n - j0;
+        if rest == 0 {
+            return;
+        }
+        let last = lanes_mask(rest - 16 * ((rest - 1) / 16));
+        match rest.div_ceil(16) {
+            1 => tile::<R, 1>(a, a_rs, a_ps, b, i0, j0, last, k, n, out),
+            2 => tile::<R, 2>(a, a_rs, a_ps, b, i0, j0, last, k, n, out),
+            3 => tile::<R, 3>(a, a_rs, a_ps, b, i0, j0, last, k, n, out),
+            _ => tile::<R, 4>(a, a_rs, a_ps, b, i0, j0, last, k, n, out),
+        }
+    }
+
+    /// One `R × 16·V` accumulator tile at `(i0, j0)`, held in registers
+    /// across the whole `p` loop; register `V − 1` of each row loads and
+    /// stores only the lanes of `last`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    fn tile<const R: usize, const V: usize>(
+        a: &[f32],
+        a_rs: usize,
+        a_ps: usize,
+        b: &[f32],
+        i0: usize,
+        j0: usize,
+        last: __mmask16,
+        k: usize,
+        n: usize,
+        out: &mut [f32],
+    ) {
+        let cols = 16 * (V - 1) + last.count_ones() as usize;
+        debug_assert!(last != 0 && j0 + cols <= n);
+        debug_assert!(k == 0 || (i0 + R - 1) * a_rs + (k - 1) * a_ps < a.len());
+        debug_assert!(b.len() == k * n && (i0 + R) * n <= out.len());
+        let mask = |v: usize| if v + 1 == V { last } else { !0 };
+        let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+        let mut acc = [[_mm512_setzero_ps(); V]; R];
+        for p in 0..k {
+            let mut bv = [_mm512_setzero_ps(); V];
+            for (v, bv) in bv.iter_mut().enumerate() {
+                // SAFETY: `p < k` and the lanes `mask(v)` selects are
+                // columns below `j0 + cols <= n`, so every float loaded
+                // lies before `k·n == b.len()` (asserted in `gemm`);
+                // masked-off lanes are not read.
+                *bv = unsafe { _mm512_maskz_loadu_ps(mask(v), bp.add(p * n + j0 + 16 * v)) };
+            }
+            for (r, acc) in acc.iter_mut().enumerate() {
+                // SAFETY: `i0 + r <= m - 1` and `p <= k - 1`, so the index
+                // is at most `(m-1)·a_rs + (k-1)·a_ps < a.len()` (asserted
+                // in `gemm`).
+                let av = _mm512_set1_ps(unsafe { *ap.add((i0 + r) * a_rs + p * a_ps) });
+                for (acc, &bv) in acc.iter_mut().zip(&bv) {
+                    *acc = _mm512_add_ps(*acc, _mm512_mul_ps(av, bv));
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            for (v, &acc) in acc.iter().enumerate() {
+                // SAFETY: row `i0 + r < m`, and the lanes `mask(v)`
+                // selects are columns below `j0 + cols <= n`: inside
+                // `out`, whose length is `m·n` (asserted in `gemm`).
+                unsafe { _mm512_mask_storeu_ps(op.add((i0 + r) * n + j0 + 16 * v), mask(v), acc) };
+            }
+        }
+    }
+
+    /// `out[m×n] = a[m×k] · b[n×k]ᵀ`, each element `dot(a_i, b_j)` in
+    /// `dot`'s four-lane order, sixteen columns per tile.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn matmul_t(a: &[f32], b: &[f32], m: usize, n: usize, k: usize, out: &mut [f32]) {
+        // Bounds of every raw access in `tile_t`.
+        assert_eq!(a.len(), m * k);
+        assert_eq!(b.len(), n * k);
+        assert_eq!(out.len(), m * n);
+        let chunks = k / 4;
+        // One panel of `64·chunks` floats per 16-column group `g`: for
+        // 4-chunk `c`, register `q` of the panel holds columns
+        // `16g + q + 4h`, `h = 0..4`, one per 128-bit lane —
+        // `panel[64c + 16q + 4h + l] = b[(16g + 4h + q)·k + 4c + l]`.
+        // Columns past `n` stay zero: computed and dropped.
+        let panel = 64 * chunks;
+        with_pack(n.div_ceil(16) * panel, |packed| {
+            let pp = packed.as_mut_ptr();
+            for (j, row) in b.chunks_exact(k.max(1)).enumerate() {
+                let at = (j / 16) * panel + 16 * (j % 4) + 4 * (j % 16 / 4);
+                debug_assert!(at % 64 <= 60 && (j / 16 + 1) * panel <= packed.len());
+                for c in 0..chunks {
+                    // SAFETY: `4c + 4 <= k == row.len()`; `at` lies within
+                    // the first 64 floats of column `j`'s panel, so
+                    // `at + 64c + 4` ends inside that panel, and the
+                    // panels (one per 16 columns) fill `packed`.
+                    unsafe {
+                        _mm_storeu_ps(pp.add(at + 64 * c), _mm_loadu_ps(row.as_ptr().add(4 * c)))
+                    };
+                }
+            }
+            for g in 0..n.div_ceil(16) {
+                let panel = &packed[g * panel..(g + 1) * panel];
+                let j0 = 16 * g;
+                let cols = (n - j0).min(16);
+                let mut i0 = 0;
+                while i0 + MR <= m {
+                    tile_t::<MR>(a, b, panel, i0, j0, cols, n, k, out);
+                    i0 += MR;
+                }
+                match m - i0 {
+                    1 => tile_t::<1>(a, b, panel, i0, j0, cols, n, k, out),
+                    2 => tile_t::<2>(a, b, panel, i0, j0, cols, n, k, out),
+                    3 => tile_t::<3>(a, b, panel, i0, j0, cols, n, k, out),
+                    _ => {}
+                }
+            }
+        })
+    }
+
+    /// Rows `i0..i0 + R` of `a` against the 16 columns packed in `panel`.
+    /// Accumulator `[r][q]` holds column `j0 + q + 4h`'s four lanes in its
+    /// 128-bit lane `h`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    fn tile_t<const R: usize>(
+        a: &[f32],
+        b: &[f32],
+        panel: &[f32],
+        i0: usize,
+        j0: usize,
+        cols: usize,
+        n: usize,
+        k: usize,
+        out: &mut [f32],
+    ) {
+        let chunks = k / 4;
+        debug_assert!((i0 + R) * k <= a.len() && (i0 + R) * n <= out.len());
+        debug_assert!(panel.len() == 64 * chunks);
+        debug_assert!((1..=16).contains(&cols) && j0 + cols <= n);
+        let (ap, pp) = (a.as_ptr(), panel.as_ptr());
+        let mut acc = [[_mm512_setzero_ps(); 4]; R];
+        for c in 0..chunks {
+            let mut bv = [_mm512_setzero_ps(); 4];
+            for (q, bv) in bv.iter_mut().enumerate() {
+                // SAFETY: `c < chunks` and `q < 4`, so the sixteen floats
+                // end at or before `64·chunks == panel.len()`.
+                *bv = unsafe { _mm512_loadu_ps(pp.add(64 * c + 16 * q)) };
+            }
+            for (r, acc) in acc.iter_mut().enumerate() {
+                // SAFETY: row `i0 + r < m` of `a` is `k` floats and
+                // `4c + 4 <= k`.
+                let a4 = unsafe { _mm_loadu_ps(ap.add((i0 + r) * k + 4 * c)) };
+                let av = _mm512_broadcast_f32x4(a4);
+                for (acc, &bv) in acc.iter_mut().zip(&bv) {
+                    *acc = _mm512_add_ps(*acc, _mm512_mul_ps(av, bv));
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            // The AVX2 body's in-lane 4×4 transpose, in all four 128-bit
+            // lanes at once: lane `h` of `s` ends as columns
+            // `j0 + 4h .. j0 + 4h + 4`, so the sixteen land contiguous.
+            let t0 = _mm512_unpacklo_ps(acc[0], acc[1]);
+            let t1 = _mm512_unpackhi_ps(acc[0], acc[1]);
+            let t2 = _mm512_unpacklo_ps(acc[2], acc[3]);
+            let t3 = _mm512_unpackhi_ps(acc[2], acc[3]);
+            let l0 = _mm512_shuffle_ps::<0x44>(t0, t2);
+            let l1 = _mm512_shuffle_ps::<0xEE>(t0, t2);
+            let l2 = _mm512_shuffle_ps::<0x44>(t1, t3);
+            let l3 = _mm512_shuffle_ps::<0xEE>(t1, t3);
+            let s = _mm512_add_ps(_mm512_add_ps(_mm512_add_ps(l0, l1), l2), l3);
+            let row = i0 + r;
+            if k.is_multiple_of(4) {
+                // SAFETY: `row < m` and the `cols` lanes stored are columns
+                // `j0 .. j0 + cols <= n`, inside `out` (length `m·n`,
+                // asserted in `matmul_t`).
+                unsafe {
+                    _mm512_mask_storeu_ps(out.as_mut_ptr().add(row * n + j0), lanes_mask(cols), s)
+                };
+                continue;
+            }
+            let mut lanes = [0.0f32; 16];
+            // SAFETY: `lanes` is sixteen floats.
+            unsafe { _mm512_storeu_ps(lanes.as_mut_ptr(), s) };
+            // `dot`'s scalar tail, in order.
+            let a_row = &a[row * k..(row + 1) * k];
+            for (c, lane) in lanes.iter_mut().enumerate().take(cols) {
+                let b_row = &b[(j0 + c) * k..(j0 + c + 1) * k];
+                for t in 4 * chunks..k {
+                    *lane += a_row[t] * b_row[t];
+                }
+            }
+            out[row * n + j0..row * n + j0 + cols].copy_from_slice(&lanes[..cols]);
+        }
+    }
+
+    /// All-pairs squared distances, sixteen pairs per register.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn cross_sq_dists(
+        a: &[f32],
+        b: &[f32],
+        na: usize,
+        nb: usize,
+        dim: usize,
+        out: &mut [f32],
+    ) {
+        // Bounds of every raw access in `tile_d`.
+        assert_eq!(a.len(), na * dim);
+        assert_eq!(b.len(), nb * dim);
+        assert_eq!(out.len(), na * nb);
+        let nbp = nb.next_multiple_of(16);
+        with_transposed(b, nb, nbp, dim, |bt| {
+            let mut i0 = 0;
+            while i0 < na {
+                for j0 in (0..nbp).step_by(16) {
+                    match na - i0 {
+                        1 => tile_d::<1>(a, bt, i0, j0, nb, nbp, dim, out),
+                        2 => tile_d::<2>(a, bt, i0, j0, nb, nbp, dim, out),
+                        3 => tile_d::<3>(a, bt, i0, j0, nb, nbp, dim, out),
+                        _ => tile_d::<MR>(a, bt, i0, j0, nb, nbp, dim, out),
+                    }
+                }
+                i0 += MR;
+            }
+        })
+    }
+
+    /// Rows `i0..i0 + R` of `a` against columns `j0..j0 + 16` of the
+    /// transposed `b`: lane `c` of accumulator `r` runs `sq_dist(a_{i0+r},
+    /// b_{j0+c})`'s serial chain over `k`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    fn tile_d<const R: usize>(
+        a: &[f32],
+        bt: &[f32],
+        i0: usize,
+        j0: usize,
+        nb: usize,
+        nbp: usize,
+        dim: usize,
+        out: &mut [f32],
+    ) {
+        debug_assert!((i0 + R) * dim <= a.len() && (i0 + R) * nb <= out.len());
+        debug_assert!(j0 + 16 <= nbp && bt.len() == dim * nbp && j0 < nb);
+        let (ap, btp) = (a.as_ptr(), bt.as_ptr());
+        let mut acc = [_mm512_setzero_ps(); R];
+        for k in 0..dim {
+            // SAFETY: `k < dim` and `j0 + 16 <= nbp`, inside `bt`
+            // (`dim·nbp` floats).
+            let bv = unsafe { _mm512_loadu_ps(btp.add(k * nbp + j0)) };
+            for (r, acc) in acc.iter_mut().enumerate() {
+                // SAFETY: row `i0 + r < na` of `a` is `dim` floats.
+                let av = _mm512_set1_ps(unsafe { *ap.add((i0 + r) * dim + k) });
+                let d = _mm512_sub_ps(av, bv);
+                *acc = _mm512_add_ps(*acc, _mm512_mul_ps(d, d));
+            }
+        }
+        let mask = lanes_mask((nb - j0).min(16));
+        for (r, &acc) in acc.iter().enumerate() {
+            // SAFETY: row `i0 + r < na`, and the lanes stored are columns
+            // `j0 .. min(j0 + 16, nb)`: inside `out` (`na·nb` floats).
+            unsafe { _mm512_mask_storeu_ps(out.as_mut_ptr().add((i0 + r) * nb + j0), mask, acc) };
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,31 +981,47 @@ mod tests {
 
     #[test]
     fn dispatched_products_match_scalar_bitwise_at_trunk_shapes() {
-        for (m, k, n) in [(48, 64, 64), (48, 64, 128), (48, 128, 64), (48, 48, 16), (37, 18, 37)] {
-            let (a, b) = (ramp(m * k, 1), ramp(k * n, 2));
-            let (mut fast, mut slow) = (vec![1.0; m * n], vec![2.0; m * n]);
-            matmul(&a, &b, m, k, n, &mut fast);
-            matmul_scalar(&a, &b, m, k, n, &mut slow);
-            assert_eq!(bits(&fast), bits(&slow), "matmul {m}x{k}x{n}");
+        // The trunk's layer and head shapes, the coverage block's (about
+        // 20 × 20 pairs of 16- and 64-wide rows), and shapes off every
+        // tile: 4 rows, 8/16/64 columns, `k % 4 != 0`.
+        let shapes = [
+            (48, 64, 64),
+            (48, 64, 128),
+            (48, 128, 64),
+            (48, 48, 16),
+            (37, 18, 37),
+            (19, 16, 21),
+            (21, 64, 19),
+            (5, 67, 65),
+            (1, 3, 15),
+        ];
+        dial_simd::for_each_level(|level| {
+            for (m, k, n) in shapes {
+                let (a, b) = (ramp(m * k, 1), ramp(k * n, 2));
+                let (mut fast, mut slow) = (vec![1.0; m * n], vec![2.0; m * n]);
+                matmul(&a, &b, m, k, n, &mut fast);
+                matmul_scalar(&a, &b, m, k, n, &mut slow);
+                assert_eq!(bits(&fast), bits(&slow), "{level:?} matmul {m}x{k}x{n}");
 
-            // aᵀ·g with a[m×k], g[m×n] -> [k×n]
-            let g = ramp(m * n, 3);
-            let (mut fast, mut slow) = (vec![1.0; k * n], vec![2.0; k * n]);
-            t_matmul(&a, &g, m, k, n, &mut fast);
-            t_matmul_scalar(&a, &g, m, k, n, &mut slow);
-            assert_eq!(bits(&fast), bits(&slow), "t_matmul {m}x{k}x{n}");
+                // aᵀ·g with a[m×k], g[m×n] -> [k×n]
+                let g = ramp(m * n, 3);
+                let (mut fast, mut slow) = (vec![1.0; k * n], vec![2.0; k * n]);
+                t_matmul(&a, &g, m, k, n, &mut fast);
+                t_matmul_scalar(&a, &g, m, k, n, &mut slow);
+                assert_eq!(bits(&fast), bits(&slow), "{level:?} t_matmul {m}x{k}x{n}");
 
-            // g·bᵀ with g[m×n], b[k×n] -> [m×k]
-            let (mut fast, mut slow) = (vec![1.0; m * k], vec![2.0; m * k]);
-            matmul_t(&g, &b, m, k, n, &mut fast);
-            matmul_t_scalar(&g, &b, m, k, n, &mut slow);
-            assert_eq!(bits(&fast), bits(&slow), "matmul_t {m}x{k}x{n}");
+                // g·bᵀ with g[m×n], b[k×n] -> [m×k]
+                let (mut fast, mut slow) = (vec![1.0; m * k], vec![2.0; m * k]);
+                matmul_t(&g, &b, m, k, n, &mut fast);
+                matmul_t_scalar(&g, &b, m, k, n, &mut slow);
+                assert_eq!(bits(&fast), bits(&slow), "{level:?} matmul_t {m}x{k}x{n}");
 
-            let (mut fast, mut slow) = (vec![1.0; m * k], vec![2.0; m * k]);
-            cross_sq_dists_into(&g, &b, m, k, n, &mut fast);
-            cross_sq_dists_scalar(&g, &b, m, k, n, &mut slow);
-            assert_eq!(bits(&fast), bits(&slow), "cross_sq_dists {m}x{k}x{n}");
-        }
+                let (mut fast, mut slow) = (vec![1.0; m * k], vec![2.0; m * k]);
+                cross_sq_dists_into(&g, &b, m, k, n, &mut fast);
+                cross_sq_dists_scalar(&g, &b, m, k, n, &mut slow);
+                assert_eq!(bits(&fast), bits(&slow), "{level:?} cross_sq_dists {m}x{k}x{n}");
+            }
+        });
     }
 
     #[test]

@@ -36,22 +36,30 @@
 //!
 //! # Determinism contract
 //!
-//! As for the products in the parent module: the AVX2 bodies run the
-//! scalar body's operation sequence lane by lane — separate multiply and
-//! add (the module is compiled without the `fma` feature, so contraction
-//! cannot happen), round-to-nearest-even, the same integer exponent
-//! insert, `vdivps` for `/` — so forced-scalar and dispatched results are
-//! equal bit for bit and `DIAL_FORCE_SCALAR` changes speed only. An FMA
-//! would round `p·r + c` once instead of twice and give different bits
-//! from the scalar body on hosts without it.
+//! As for the products in the parent module: the AVX2 and AVX-512 bodies
+//! run the scalar body's operation sequence lane by lane — separate
+//! multiply and add (only explicit `mul`/`add` intrinsics, and rustc
+//! never lets LLVM contract them, though `avx512f` implies `fma`),
+//! round-to-nearest-even, the same integer exponent insert, `vdivps` for
+//! `/` — so forced-scalar and dispatched results are equal bit for bit
+//! and `DIAL_FORCE_SCALAR` changes speed only. An FMA would round
+//! `p·r + c` once instead of twice and give different bits from the
+//! scalar body on hosts without it.
 //!
 //! Reductions ([`softmax_rows`], [`logsumexp`]) fix one lane order for
-//! both bodies: lane `l` of eight folds elements `8c + l`, the lanes
+//! every body: lane `l` of eight folds elements `8c + l`, the lanes
 //! reduce as `((l0⊕l4)⊕(l2⊕l6)) ⊕ ((l1⊕l5)⊕(l3⊕l7))`, then the `len % 8`
 //! tail folds in order. The AVX2 body computes the tail's exponentials in
 //! one more eight-lane `exp` over a zero-padded load and folds only the
 //! real lanes, in index order: the same operations per element, so a
-//! 39-wide attention row costs what a 40-wide one does.
+//! 39-wide attention row costs what a 40-wide one does. The AVX-512 body
+//! computes sixteen exponentials a step and folds their low and then
+//! their high eight lanes into the same eight-lane accumulator — exactly
+//! two eight-lane steps. The last `len % 16` elements ride one masked
+//! sixteen-lane step: its first eight fold as a whole step when eight or
+//! more remain, the `len % 8` after them are the tail. The row max runs
+//! the AVX2 body under both: it is a short chain of selects, and which of
+//! two equal-valued zeros it keeps depends on the eight-lane fold order.
 
 #[cfg(target_arch = "x86_64")]
 use dial_simd::{simd_level, SimdLevel};
@@ -206,10 +214,14 @@ fn exp_sum_scalar(src: &[f32], m: f32, mut dst: Option<&mut [f32]>) -> f32 {
 
 /// `x ← exp(x)` element-wise.
 pub fn exp_slice(xs: &mut [f32]) {
+    // SAFETY: `simd_level` reports a level only when the CPU has it.
     #[cfg(target_arch = "x86_64")]
-    if simd_level() == SimdLevel::Avx2 {
-        // SAFETY: `simd_level` reports Avx2 only when the CPU has it.
-        return unsafe { avx2::exp_slice(xs) };
+    unsafe {
+        match simd_level() {
+            SimdLevel::Avx512 => return avx512::exp_slice(xs),
+            SimdLevel::Avx2 => return avx2::exp_slice(xs),
+            _ => {}
+        }
     }
     exp_slice_scalar(xs)
 }
@@ -221,10 +233,14 @@ pub fn exp_slice_scalar(xs: &mut [f32]) {
 
 /// `x ← tanh(x)` element-wise.
 pub fn tanh_slice(xs: &mut [f32]) {
+    // SAFETY: `simd_level` reports a level only when the CPU has it.
     #[cfg(target_arch = "x86_64")]
-    if simd_level() == SimdLevel::Avx2 {
-        // SAFETY: `simd_level` reports Avx2 only when the CPU has it.
-        return unsafe { avx2::tanh_slice(xs) };
+    unsafe {
+        match simd_level() {
+            SimdLevel::Avx512 => return avx512::tanh_slice(xs),
+            SimdLevel::Avx2 => return avx2::tanh_slice(xs),
+            _ => {}
+        }
     }
     tanh_slice_scalar(xs)
 }
@@ -236,10 +252,14 @@ pub fn tanh_slice_scalar(xs: &mut [f32]) {
 
 /// `x ← sigmoid(x)` element-wise.
 pub fn sigmoid_slice(xs: &mut [f32]) {
+    // SAFETY: `simd_level` reports a level only when the CPU has it.
     #[cfg(target_arch = "x86_64")]
-    if simd_level() == SimdLevel::Avx2 {
-        // SAFETY: `simd_level` reports Avx2 only when the CPU has it.
-        return unsafe { avx2::sigmoid_slice(xs) };
+    unsafe {
+        match simd_level() {
+            SimdLevel::Avx512 => return avx512::sigmoid_slice(xs),
+            SimdLevel::Avx2 => return avx2::sigmoid_slice(xs),
+            _ => {}
+        }
     }
     sigmoid_slice_scalar(xs)
 }
@@ -255,10 +275,14 @@ pub fn sigmoid_slice_scalar(xs: &mut [f32]) {
 pub fn gelu(x: &[f32], out: &mut [f32], tanh_out: &mut [f32]) {
     assert_eq!(out.len(), x.len(), "gelu: output length");
     assert_eq!(tanh_out.len(), x.len(), "gelu: saved-tanh length");
+    // SAFETY: `simd_level` reports a level only when the CPU has it.
     #[cfg(target_arch = "x86_64")]
-    if simd_level() == SimdLevel::Avx2 {
-        // SAFETY: `simd_level` reports Avx2 only when the CPU has it.
-        return unsafe { avx2::gelu(x, out, tanh_out) };
+    unsafe {
+        match simd_level() {
+            SimdLevel::Avx512 => return avx512::gelu(x, out, tanh_out),
+            SimdLevel::Avx2 => return avx2::gelu(x, out, tanh_out),
+            _ => {}
+        }
     }
     gelu_scalar(x, out, tanh_out)
 }
@@ -277,10 +301,14 @@ pub fn gelu_scalar(x: &[f32], out: &mut [f32], tanh_out: &mut [f32]) {
 pub fn softmax_rows(x: &[f32], cols: usize, out: &mut [f32]) {
     assert_eq!(out.len(), x.len(), "softmax_rows: output length");
     assert!(x.is_empty() || (cols > 0 && x.len().is_multiple_of(cols)), "softmax_rows: row width");
+    // SAFETY: `simd_level` reports a level only when the CPU has it.
     #[cfg(target_arch = "x86_64")]
-    if simd_level() == SimdLevel::Avx2 {
-        // SAFETY: `simd_level` reports Avx2 only when the CPU has it.
-        return unsafe { avx2::softmax_rows(x, cols, out) };
+    unsafe {
+        match simd_level() {
+            SimdLevel::Avx512 => return avx512::softmax_rows(x, cols, out),
+            SimdLevel::Avx2 => return avx2::softmax_rows(x, cols, out),
+            _ => {}
+        }
     }
     softmax_rows_scalar(x, cols, out)
 }
@@ -298,10 +326,14 @@ pub fn softmax_rows_scalar(x: &[f32], cols: usize, out: &mut [f32]) {
 /// Numerically stable `ln Σ exp(row_i)`: `max + ln Σ exp(row_i − max)`,
 /// `-inf` for an empty or all-`-inf` row. The one `ln` is libm's.
 pub fn logsumexp(row: &[f32]) -> f32 {
+    // SAFETY: `simd_level` reports a level only when the CPU has it.
     #[cfg(target_arch = "x86_64")]
-    if simd_level() == SimdLevel::Avx2 {
-        // SAFETY: `simd_level` reports Avx2 only when the CPU has it.
-        return unsafe { avx2::logsumexp(row) };
+    unsafe {
+        match simd_level() {
+            SimdLevel::Avx512 => return avx512::logsumexp(row),
+            SimdLevel::Avx2 => return avx2::logsumexp(row),
+            _ => {}
+        }
     }
     logsumexp_scalar(row)
 }
@@ -433,7 +465,7 @@ mod avx2 {
 
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn lanes(v: __m256) -> [f32; 8] {
+    pub(super) fn lanes(v: __m256) -> [f32; 8] {
         let mut l = [0.0f32; 8];
         // SAFETY: `l` is eight floats.
         unsafe { _mm256_storeu_ps(l.as_mut_ptr(), v) };
@@ -442,7 +474,7 @@ mod avx2 {
 
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn row_max(row: &[f32]) -> f32 {
+    pub(super) fn row_max(row: &[f32]) -> f32 {
         let mut acc = _mm256_set1_ps(f32::NEG_INFINITY);
         let chunks = row.chunks_exact(8);
         let tail = chunks.remainder();
@@ -494,6 +526,214 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
+    pub(super) fn logsumexp(row: &[f32]) -> f32 {
+        let max = row_max(row);
+        if max == f32::NEG_INFINITY {
+            return max;
+        }
+        max + exp_sum(row, max, None).ln()
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::super::avx512::lanes_mask;
+    use super::avx2::{lanes, row_max};
+    use super::*;
+    use std::arch::x86_64::*;
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn sign() -> __m512i {
+        _mm512_set1_epi32(SIGN as i32)
+    }
+
+    /// [`super::exp`] on sixteen lanes, operation for operation.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn exp16(x: __m512) -> __m512 {
+        let x = _mm512_max_ps(_mm512_set1_ps(EXP_LO), x);
+        let x = _mm512_min_ps(_mm512_set1_ps(EXP_HI), x);
+        let magic = _mm512_set1_ps(ROUND_MAGIC);
+        let shifted =
+            _mm512_add_ps(_mm512_mul_ps(x, _mm512_set1_ps(std::f32::consts::LOG2_E)), magic);
+        let n = _mm512_sub_ps(shifted, magic);
+        let r = _mm512_sub_ps(x, _mm512_mul_ps(n, _mm512_set1_ps(LN2_HI)));
+        let r = _mm512_sub_ps(r, _mm512_mul_ps(n, _mm512_set1_ps(LN2_LO)));
+        let mut p = _mm512_set1_ps(EXP_P[0]);
+        for &c in &EXP_P[1..] {
+            p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(c));
+        }
+        let y = _mm512_add_ps(_mm512_mul_ps(p, _mm512_mul_ps(r, r)), r);
+        let y = _mm512_add_ps(y, _mm512_set1_ps(1.0));
+        let biased = _mm512_add_epi32(_mm512_castps_si512(shifted), _mm512_set1_epi32(127));
+        _mm512_mul_ps(y, _mm512_castsi512_ps(_mm512_slli_epi32::<23>(biased)))
+    }
+
+    /// [`super::tanh`] on sixteen lanes: both branches, then a select.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn tanh16(x: __m512) -> __m512 {
+        let xi = _mm512_castps_si512(x);
+        let a = _mm512_castsi512_ps(_mm512_andnot_si512(sign(), xi));
+        let z = _mm512_mul_ps(a, a);
+        let mut q = _mm512_set1_ps(TANH_Q[0]);
+        for &c in &TANH_Q[1..] {
+            q = _mm512_add_ps(_mm512_mul_ps(q, z), _mm512_set1_ps(c));
+        }
+        let small = _mm512_add_ps(_mm512_mul_ps(_mm512_mul_ps(q, z), a), a);
+        let one = _mm512_set1_ps(1.0);
+        let e = _mm512_add_ps(exp16(_mm512_add_ps(a, a)), one);
+        let big = _mm512_sub_ps(one, _mm512_div_ps(_mm512_set1_ps(2.0), e));
+        // Ordered compare: a NaN lane takes the `exp` branch, as in the
+        // scalar body.
+        let below = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(a, _mm512_set1_ps(TANH_CROSSOVER));
+        let t = _mm512_castps_si512(_mm512_mask_blend_ps(below, big, small));
+        _mm512_castsi512_ps(_mm512_or_si512(t, _mm512_and_si512(xi, sign())))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn sigmoid16(x: __m512) -> __m512 {
+        let one = _mm512_set1_ps(1.0);
+        // `-x` is a sign flip, as in the scalar body.
+        let neg = _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(x), sign()));
+        _mm512_div_ps(one, _mm512_add_ps(one, exp16(neg)))
+    }
+
+    /// `x ← f16(x)` sixteen at a time; the last `len % 16` ride one more
+    /// register through a masked load and store (the masked-off lanes are
+    /// computed on zeros and dropped).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn map_in_place(xs: &mut [f32], f16: impl Fn(__m512) -> __m512) {
+        let mut chunks = xs.chunks_exact_mut(16);
+        for c in &mut chunks {
+            debug_assert_eq!(c.len(), 16);
+            // SAFETY: `chunks_exact_mut(16)` yields exactly sixteen floats.
+            unsafe { _mm512_storeu_ps(c.as_mut_ptr(), f16(_mm512_loadu_ps(c.as_ptr()))) };
+        }
+        let rest = chunks.into_remainder();
+        if !rest.is_empty() {
+            let mask = lanes_mask(rest.len());
+            // SAFETY: `mask` selects the `rest.len()` floats of `rest`;
+            // masked-off lanes are neither read nor written.
+            unsafe {
+                let v = f16(_mm512_maskz_loadu_ps(mask, rest.as_ptr()));
+                _mm512_mask_storeu_ps(rest.as_mut_ptr(), mask, v);
+            }
+        }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn exp_slice(xs: &mut [f32]) {
+        map_in_place(xs, |v| exp16(v))
+    }
+
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn tanh_slice(xs: &mut [f32]) {
+        map_in_place(xs, |v| tanh16(v))
+    }
+
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn sigmoid_slice(xs: &mut [f32]) {
+        map_in_place(xs, |v| sigmoid16(v))
+    }
+
+    /// [`super::gelu1`] on sixteen lanes: `(gelu(v), t)`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn gelu16(v: __m512) -> (__m512, __m512) {
+        let (half, one) = (_mm512_set1_ps(0.5), _mm512_set1_ps(1.0));
+        let (c, k) = (_mm512_set1_ps(GELU_C), _mm512_set1_ps(GELU_K));
+        let cube = _mm512_mul_ps(_mm512_mul_ps(_mm512_mul_ps(k, v), v), v);
+        let t = tanh16(_mm512_mul_ps(c, _mm512_add_ps(v, cube)));
+        (_mm512_mul_ps(_mm512_mul_ps(half, v), _mm512_add_ps(one, t)), t)
+    }
+
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn gelu(x: &[f32], out: &mut [f32], tanh_out: &mut [f32]) {
+        // Bounds of the raw loads and stores below.
+        assert_eq!(out.len(), x.len());
+        assert_eq!(tanh_out.len(), x.len());
+        for i in (0..x.len()).step_by(16) {
+            let mask = lanes_mask((x.len() - i).min(16));
+            // SAFETY: `mask` selects floats `i .. min(i + 16, x.len())`,
+            // and `out` and `tanh_out` have `x`'s length (asserted above);
+            // masked-off lanes are neither read nor written.
+            unsafe {
+                let (y, t) = gelu16(_mm512_maskz_loadu_ps(mask, x.as_ptr().add(i)));
+                _mm512_mask_storeu_ps(out.as_mut_ptr().add(i), mask, y);
+                _mm512_mask_storeu_ps(tanh_out.as_mut_ptr().add(i), mask, t);
+            }
+        }
+    }
+
+    /// The low and the high eight lanes of `v`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn halves(v: __m512) -> (__m256, __m256) {
+        let hi = _mm512_extractf64x4_pd::<1>(_mm512_castps_pd(v));
+        (_mm512_castps512_ps256(v), _mm256_castpd_ps(hi))
+    }
+
+    /// [`exp_sum_scalar`] sixteen exponentials a step: the low and then the
+    /// high eight fold into the one eight-lane accumulator, which is two
+    /// steps of the eight-lane body. The last `len % 16` ride one masked
+    /// step, whose first eight fold as a whole step when eight or more
+    /// remain, and whose `len % 8` tail folds in order after the lanes
+    /// reduce.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn exp_sum(src: &[f32], m: f32, mut dst: Option<&mut [f32]>) -> f32 {
+        // Bound of the raw stores below.
+        assert!(dst.as_ref().is_none_or(|d| d.len() == src.len()));
+        let full = src.len() - src.len() % 16;
+        let mv = _mm512_set1_ps(m);
+        let mut acc = _mm256_setzero_ps();
+        for i in (0..full).step_by(16) {
+            debug_assert!(i + 16 <= src.len());
+            // SAFETY: `i + 16 <= full <= src.len()`.
+            let e = exp16(_mm512_sub_ps(unsafe { _mm512_loadu_ps(src.as_ptr().add(i)) }, mv));
+            if let Some(d) = dst.as_deref_mut() {
+                // SAFETY: `d` has `src`'s length (asserted above).
+                unsafe { _mm512_storeu_ps(d.as_mut_ptr().add(i), e) };
+            }
+            let (lo, hi) = halves(e);
+            acc = _mm256_add_ps(_mm256_add_ps(acc, lo), hi);
+        }
+        let rest = src.len() - full;
+        let mut e = [0.0f32; 16];
+        if rest > 0 {
+            let mask = lanes_mask(rest);
+            // SAFETY: `mask` selects floats `full .. src.len()`; masked-off
+            // lanes are not read.
+            let v = exp16(_mm512_sub_ps(
+                unsafe { _mm512_maskz_loadu_ps(mask, src.as_ptr().add(full)) },
+                mv,
+            ));
+            if let Some(d) = dst {
+                // SAFETY: as for the load, `d` having `src`'s length.
+                unsafe { _mm512_mask_storeu_ps(d.as_mut_ptr().add(full), mask, v) };
+            }
+            // SAFETY: `e` is sixteen floats.
+            unsafe { _mm512_storeu_ps(e.as_mut_ptr(), v) };
+            if rest >= 8 {
+                acc = _mm256_add_ps(acc, halves(v).0);
+            }
+        }
+        finish_exp_sum(lanes(acc), &e[rest - rest % 8..rest], None)
+    }
+
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn softmax_rows(x: &[f32], cols: usize, out: &mut [f32]) {
+        for (row, o) in x.chunks_exact(cols.max(1)).zip(out.chunks_exact_mut(cols.max(1))) {
+            let sum = exp_sum(row, row_max(row), Some(o));
+            o.iter_mut().for_each(|v| *v /= sum);
+        }
+    }
+
+    #[target_feature(enable = "avx512f")]
     pub(super) fn logsumexp(row: &[f32]) -> f32 {
         let max = row_max(row);
         if max == f32::NEG_INFINITY {

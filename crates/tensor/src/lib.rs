@@ -6,12 +6,12 @@
 //! * [`Matrix`] — dense row-major `f32` matrices whose `matmul` /
 //!   `matmul_t` / `t_matmul` run on the [`kernels`] module;
 //! * [`kernels`] — the three products (and the all-pairs squared
-//!   distances) as register-tiled AVX2 code, and `exp`/`tanh` as in-repo
-//!   definitions with the GELU / softmax / log-sum-exp / sigmoid slice
-//!   kernels built on them; all picked at runtime, with the scalar bodies
-//!   kept as fallback and parity oracle; plus the row ops (bias add,
-//!   LayerNorm, mean-pool) and every op's backward arithmetic, which the
-//!   tape and the graph-free forward and backward share;
+//!   distances) as register-tiled AVX2 and AVX-512 code, and `exp`/`tanh`
+//!   as in-repo definitions with the GELU / softmax / log-sum-exp /
+//!   sigmoid slice kernels built on them; all picked at runtime, with the
+//!   scalar bodies kept as fallback and parity oracle; plus the row ops
+//!   (bias add, LayerNorm, mean-pool) and every op's backward arithmetic,
+//!   which the tape and the graph-free forward and backward share;
 //! * [`ParamStore`] / [`ParamId`] — named trainable parameters with gradient
 //!   buffers, freezing, snapshot/restore (used to reset the matcher to its
 //!   pre-trained weights each active-learning round); values are shared
@@ -36,10 +36,11 @@
 //! # Determinism
 //!
 //! Every result is a pure function of its inputs and the thread count —
-//! never of the SIMD level. The AVX2 kernels multiply and add separately
-//! (no FMA) and sum each output element in the scalar loop's order, so
-//! they are bitwise equal to the scalar loops (proptested in
-//! `tests/proptests.rs`), and `DIAL_FORCE_SCALAR=1` — the one switch shared
+//! never of the SIMD level. The AVX2 and AVX-512 kernels multiply and add
+//! separately (no FMA) and sum each output element in the scalar loop's
+//! order, so they are bitwise equal to the scalar loops (proptested at
+//! every level the host has in `tests/proptests.rs`), and
+//! `DIAL_FORCE_SCALAR=1` — the one switch shared
 //! with `dial-ann` through `dial-simd` — changes speed only. See
 //! [`kernels`] for the contract, the zero-skip argument and the tile
 //! shapes.

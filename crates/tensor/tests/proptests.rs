@@ -1,5 +1,6 @@
 //! Property-based tests for the autograd engine.
 
+use dial_simd::for_each_level;
 use dial_tensor::{kernels, logsumexp, Graph, Matrix, ParamStore};
 use proptest::prelude::*;
 
@@ -9,7 +10,7 @@ fn small_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
 
 /// Longest side the kernel parity cases draw; the pool below covers the
 /// largest operand plus the sub-slice offset.
-const MAX_SIDE: usize = 40;
+const MAX_SIDE: usize = 70;
 
 /// Matrix entries for the kernel parity tests: mostly ordinary values,
 /// with signed zeros (the scalar loops' skip), denormals (products that
@@ -29,10 +30,12 @@ fn entries() -> impl Strategy<Value = Vec<f32>> {
 }
 
 /// A side length: the degenerate 0 and 1, sizes around the 4-row and
-/// 8/16-column tiles, the trunk's `d_head` 16, and 18 for `dot`'s lane
-/// tail.
+/// 8/16/64-column tiles of both SIMD levels, the trunk's `d_head` 16, and
+/// 18 for `dot`'s lane tail.
 fn side() -> impl Strategy<Value = usize> {
-    (0usize..14).prop_map(|i| [0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 18, 33, MAX_SIDE][i])
+    const SIDES: [usize; 20] =
+        [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 18, 33, 47, 48, 63, 64, 65, MAX_SIDE];
+    (0..SIDES.len()).prop_map(|i| SIDES[i])
 }
 
 /// `len` floats starting `off` elements into `pool`, so the kernels see
@@ -41,17 +44,17 @@ fn operand(pool: &[f32], off: usize, len: usize) -> &[f32] {
     &pool[off..off + len]
 }
 
-/// Longest slice the transcendental parity cases run (lengths `0..=67`
-/// cover eight whole registers plus every tail), and the largest
-/// sub-slice offset.
-const MAX_LEN: usize = 67;
+/// Longest slice the transcendental parity cases run (lengths `0..=70`
+/// cover four whole 16-lane registers plus every tail of both widths),
+/// and the largest sub-slice offset.
+const MAX_LEN: usize = 70;
 const MAX_OFF: usize = 7;
 /// Rows of the softmax parity matrix.
 const SM_ROWS: usize = 3;
 
-/// Finite inputs for the transcendental parity tests: ordinary values,
-/// both sides of `tanh`'s crossover, signed zeros, denormals, and
-/// magnitudes past `exp`'s clamp.
+/// Inputs for the transcendental parity tests: ordinary values, both
+/// sides of `tanh`'s crossover, signed zeros, denormals, magnitudes past
+/// `exp`'s clamp, and `±inf`.
 fn trans_entries() -> impl Strategy<Value = Vec<f32>> {
     let entry = (0u8..16, -1.0f32..1.0).prop_map(|(kind, v)| match kind {
         0 => 0.0,
@@ -62,7 +65,8 @@ fn trans_entries() -> impl Strategy<Value = Vec<f32>> {
         5 => -0.625 + v * 1.0e-6,
         6 => v * 100.0,
         7 => v * 1.0e6,
-        8 | 9 => v * 20.0,
+        8 => f32::INFINITY.copysign(v),
+        9 => v * 20.0,
         _ => v * 4.0,
     });
     proptest::collection::vec(entry, SM_ROWS * MAX_LEN + MAX_OFF)
@@ -156,16 +160,21 @@ fn tanh_is_accurate_odd_bounded_saturating_and_monotone() {
 #[test]
 fn special_values_take_the_same_path_under_dispatch() {
     let specials = [f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 88.0, -88.0, 1.0e-45, 0.625, 9.5];
-    for (name, fast, slow) in MAPS {
-        let (mut a, mut b) = (specials, specials);
-        fast(&mut a);
-        slow(&mut b);
-        assert_same_bits(&a, &b, name);
-        // NaN in, NaN out, in a full register and in the tail.
-        let mut nans = [f32::NAN; 9];
-        fast(&mut nans);
-        assert!(nans.iter().all(|v| v.is_nan()), "{name} lost a NaN");
-    }
+    // Three rounds of the specials: every value lands in a full register
+    // and in the tail at both widths.
+    let specials: Vec<f32> = specials.iter().cycle().take(3 * specials.len()).copied().collect();
+    for_each_level(|level| {
+        for (name, fast, slow) in MAPS {
+            let (mut a, mut b) = (specials.clone(), specials.clone());
+            fast(&mut a);
+            slow(&mut b);
+            assert_same_bits(&a, &b, &format!("{level:?} {name}"));
+            // NaN in, NaN out, in full registers and in the tail.
+            let mut nans = [f32::NAN; 25];
+            fast(&mut nans);
+            assert!(nans.iter().all(|v| v.is_nan()), "{level:?} {name} lost a NaN");
+        }
+    });
 }
 
 fn assert_same_bits(fast: &[f32], slow: &[f32], what: &str) {
@@ -269,8 +278,9 @@ proptest! {
     }
 
     // ---- dispatched kernels == scalar loops, bit for bit -----------------
-    // On a host without AVX2 (or under DIAL_FORCE_SCALAR=1) both sides run
-    // the scalar loops and the properties hold trivially.
+    // Each case runs at every level the host has (`for_each_level`), so
+    // an AVX-512 host tests its AVX2 bodies too; a level the host lacks is
+    // skipped with a note.
 
     #[test]
     fn matmul_dispatch_matches_scalar_bitwise(
@@ -279,10 +289,12 @@ proptest! {
         oa in 0usize..4, ob in 0usize..4,
     ) {
         let (a, b) = (operand(&pa, oa, m * k), operand(&pb, ob, k * n));
-        let (mut fast, mut slow) = (vec![f32::NAN; m * n + 1], vec![f32::NAN; m * n + 1]);
-        kernels::matmul(a, b, m, k, n, &mut fast[1..]);
-        kernels::matmul_scalar(a, b, m, k, n, &mut slow[1..]);
-        assert_same_bits(&fast[1..], &slow[1..], &format!("matmul {m}x{k}x{n}"));
+        for_each_level(|level| {
+            let (mut fast, mut slow) = (vec![f32::NAN; m * n + 1], vec![f32::NAN; m * n + 1]);
+            kernels::matmul(a, b, m, k, n, &mut fast[1..]);
+            kernels::matmul_scalar(a, b, m, k, n, &mut slow[1..]);
+            assert_same_bits(&fast[1..], &slow[1..], &format!("{level:?} matmul {m}x{k}x{n}"));
+        });
     }
 
     #[test]
@@ -292,10 +304,13 @@ proptest! {
         oa in 0usize..4, ob in 0usize..4,
     ) {
         let (a, b) = (operand(&pa, oa, rows * m), operand(&pb, ob, rows * n));
-        let (mut fast, mut slow) = (vec![f32::NAN; m * n + 1], vec![f32::NAN; m * n + 1]);
-        kernels::t_matmul(a, b, rows, m, n, &mut fast[1..]);
-        kernels::t_matmul_scalar(a, b, rows, m, n, &mut slow[1..]);
-        assert_same_bits(&fast[1..], &slow[1..], &format!("t_matmul ({rows}x{m})^T {rows}x{n}"));
+        for_each_level(|level| {
+            let (mut fast, mut slow) = (vec![f32::NAN; m * n + 1], vec![f32::NAN; m * n + 1]);
+            kernels::t_matmul(a, b, rows, m, n, &mut fast[1..]);
+            kernels::t_matmul_scalar(a, b, rows, m, n, &mut slow[1..]);
+            let what = format!("{level:?} t_matmul ({rows}x{m})^T {rows}x{n}");
+            assert_same_bits(&fast[1..], &slow[1..], &what);
+        });
     }
 
     #[test]
@@ -305,10 +320,13 @@ proptest! {
         oa in 0usize..4, ob in 0usize..4,
     ) {
         let (a, b) = (operand(&pa, oa, m * k), operand(&pb, ob, n * k));
-        let (mut fast, mut slow) = (vec![f32::NAN; m * n + 1], vec![f32::NAN; m * n + 1]);
-        kernels::matmul_t(a, b, m, n, k, &mut fast[1..]);
-        kernels::matmul_t_scalar(a, b, m, n, k, &mut slow[1..]);
-        assert_same_bits(&fast[1..], &slow[1..], &format!("matmul_t {m}x{k} ({n}x{k})^T"));
+        for_each_level(|level| {
+            let (mut fast, mut slow) = (vec![f32::NAN; m * n + 1], vec![f32::NAN; m * n + 1]);
+            kernels::matmul_t(a, b, m, n, k, &mut fast[1..]);
+            kernels::matmul_t_scalar(a, b, m, n, k, &mut slow[1..]);
+            let what = format!("{level:?} matmul_t {m}x{k} ({n}x{k})^T");
+            assert_same_bits(&fast[1..], &slow[1..], &what);
+        });
     }
 
     #[test]
@@ -318,56 +336,69 @@ proptest! {
         oa in 0usize..4, ob in 0usize..4,
     ) {
         let (a, b) = (operand(&pa, oa, na * dim), operand(&pb, ob, nb * dim));
-        let (mut fast, mut slow) = (vec![f32::NAN; na * nb + 1], vec![f32::NAN; na * nb + 1]);
-        kernels::cross_sq_dists_into(a, b, na, nb, dim, &mut fast[1..]);
-        kernels::cross_sq_dists_scalar(a, b, na, nb, dim, &mut slow[1..]);
-        assert_same_bits(&fast[1..], &slow[1..], &format!("cross_sq_dists {na}x{nb} dim {dim}"));
+        for_each_level(|level| {
+            let (mut fast, mut slow) =
+                (vec![f32::NAN; na * nb + 1], vec![f32::NAN; na * nb + 1]);
+            kernels::cross_sq_dists_into(a, b, na, nb, dim, &mut fast[1..]);
+            kernels::cross_sq_dists_scalar(a, b, na, nb, dim, &mut slow[1..]);
+            let what = format!("{level:?} cross_sq_dists {na}x{nb} dim {dim}");
+            assert_same_bits(&fast[1..], &slow[1..], &what);
+        });
     }
 
     // ---- transcendental kernels: dispatched == scalar, bit for bit -------
 
     #[test]
     fn elementwise_maps_dispatch_matches_scalar_bitwise(pool in trans_entries()) {
-        for (name, fast, slow) in MAPS {
-            for_each_len_and_offset(|len, off| {
-                let (mut a, mut b) = (pool.clone(), pool.clone());
-                fast(&mut a[off..off + len]);
-                slow(&mut b[off..off + len]);
-                // The whole pool: nothing outside the sub-slice may move.
-                assert_same_bits(&a, &b, &format!("{name} len {len} offset {off}"));
-                assert_same_bits(&a[..off], &pool[..off], name);
-                assert_same_bits(&a[off + len..], &pool[off + len..], name);
-            });
-        }
+        for_each_level(|level| {
+            for (name, fast, slow) in MAPS {
+                for_each_len_and_offset(|len, off| {
+                    let (mut a, mut b) = (pool.clone(), pool.clone());
+                    fast(&mut a[off..off + len]);
+                    slow(&mut b[off..off + len]);
+                    // The whole pool: nothing outside the sub-slice may move.
+                    let what = format!("{level:?} {name} len {len} offset {off}");
+                    assert_same_bits(&a, &b, &what);
+                    assert_same_bits(&a[..off], &pool[..off], &what);
+                    assert_same_bits(&a[off + len..], &pool[off + len..], &what);
+                });
+            }
+        });
     }
 
     #[test]
     fn gelu_dispatch_matches_scalar_bitwise(pool in trans_entries()) {
-        for_each_len_and_offset(|len, off| {
-            let x = &pool[off..off + len];
-            let mut fast = (vec![f32::NAN; len], vec![f32::NAN; len]);
-            let mut slow = fast.clone();
-            kernels::gelu(x, &mut fast.0, &mut fast.1);
-            kernels::gelu_scalar(x, &mut slow.0, &mut slow.1);
-            assert_same_bits(&fast.0, &slow.0, &format!("gelu len {len} offset {off}"));
-            assert_same_bits(&fast.1, &slow.1, &format!("gelu tanh len {len} offset {off}"));
+        for_each_level(|level| {
+            for_each_len_and_offset(|len, off| {
+                let x = &pool[off..off + len];
+                let mut fast = (vec![f32::NAN; len], vec![f32::NAN; len]);
+                let mut slow = fast.clone();
+                kernels::gelu(x, &mut fast.0, &mut fast.1);
+                kernels::gelu_scalar(x, &mut slow.0, &mut slow.1);
+                let what = format!("{level:?} gelu len {len} offset {off}");
+                assert_same_bits(&fast.0, &slow.0, &what);
+                assert_same_bits(&fast.1, &slow.1, &format!("{what} (tanh)"));
+            });
         });
     }
 
     #[test]
     fn softmax_and_logsumexp_dispatch_match_scalar_bitwise(pool in trans_entries()) {
-        for_each_len_and_offset(|cols, off| {
-            let x = &pool[off..off + SM_ROWS * cols];
-            let (mut fast, mut slow) = (vec![f32::NAN; x.len()], vec![f32::NAN; x.len()]);
-            kernels::softmax_rows(x, cols, &mut fast);
-            kernels::softmax_rows_scalar(x, cols, &mut slow);
-            assert_same_bits(&fast, &slow, &format!("softmax_rows {cols} cols offset {off}"));
-            let row = &x[..cols];
-            assert_eq!(
-                kernels::logsumexp(row).to_bits(),
-                kernels::logsumexp_scalar(row).to_bits(),
-                "logsumexp {} cols offset {}", cols, off
-            );
+        for_each_level(|level| {
+            for_each_len_and_offset(|cols, off| {
+                let x = &pool[off..off + SM_ROWS * cols];
+                let (mut fast, mut slow) = (vec![f32::NAN; x.len()], vec![f32::NAN; x.len()]);
+                kernels::softmax_rows(x, cols, &mut fast);
+                kernels::softmax_rows_scalar(x, cols, &mut slow);
+                let what = format!("{level:?} softmax_rows {cols} cols offset {off}");
+                assert_same_bits(&fast, &slow, &what);
+                let row = &x[..cols];
+                assert_eq!(
+                    kernels::logsumexp(row).to_bits(),
+                    kernels::logsumexp_scalar(row).to_bits(),
+                    "{:?} logsumexp {} cols offset {}", level, cols, off
+                );
+            });
         });
     }
 }
